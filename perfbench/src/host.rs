@@ -57,16 +57,21 @@ pub fn describe() -> String {
 }
 
 /// CPU time the hypervisor has taken from this machine since boot, in
-/// seconds (the `steal` column of `/proc/stat`, in 1/100 s ticks); 0 where
-/// it is not reported.  The difference over a run tells a run that shared
-/// its host with a busy neighbour from one that did not.
-pub fn steal_s() -> f64 {
+/// 1/100 s ticks (the `steal` column of `/proc/stat`); 0 where it is not
+/// reported.  It tells a stretch of time in which this machine shared its
+/// host with a busy neighbour from one in which it did not.
+pub fn steal_ticks() -> u64 {
     let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
     stat.lines()
         .next()
         .and_then(|cpu| cpu.split_whitespace().nth(8))
-        .and_then(|ticks| ticks.parse::<f64>().ok())
-        .map_or(0.0, |ticks| ticks / 100.0)
+        .and_then(|ticks| ticks.parse().ok())
+        .unwrap_or(0)
+}
+
+/// [`steal_ticks`] in seconds.
+pub fn steal_s() -> f64 {
+    steal_ticks() as f64 / 100.0
 }
 
 /// Peak resident set size of this process, in MiB.

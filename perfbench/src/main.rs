@@ -21,6 +21,7 @@
 //! two threads are the handoff pattern again.
 
 mod host;
+mod latency;
 mod runner;
 mod trace;
 mod workload;
@@ -37,7 +38,7 @@ const CONTROL_SHARE: f64 = 0.1;
 
 /// Turns each runtime gets in one run.  A phase's timing depends on where
 /// its memory and threads land, so many short phases, each on a fresh
-/// system, give a steadier median than a few long ones.
+/// system, give a steadier figure than a few long ones.
 const ROUNDS: usize = 16;
 
 /// Turns each runtime gets in a traced run.
@@ -53,7 +54,9 @@ extern "C" {
 /// threshold as large blocks are freed, after which whether a phase reuses
 /// the previous phase's pages, or keeps a dead thread's arena resident,
 /// changes from run to run; pinned, every phase's set-up pays for its own
-/// pages, and `setup_s` and `peak_rss_mb` repeat.
+/// pages, and `setup_s` and `peak_rss_mb` repeat.  The library runs under
+/// the pin too, so a transaction that allocates blocks above 128 KiB pays
+/// for a mapping each time; BENCHMARK.json says so.
 fn fix_mmap_threshold() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -283,8 +286,8 @@ fn main() {
         };
     let phases_per_round = RuntimeKind::ALL.len() * if args.trace { 2 } else { 1 };
     let tm_share = if args.trace { 1.0 - CONTROL_SHARE } else { 1.0 };
-    // The per-layer split needs sums and counts, not steady medians, so a
-    // traced run spends its time in fewer, longer phases.
+    // The per-layer split needs sums and counts, not steady end-to-end
+    // figures, so a traced run spends its time in fewer, longer phases.
     let rounds = if args.trace { TRACE_ROUNDS } else { ROUNDS };
     let per_phase = args.seconds * tm_share / (rounds * phases_per_round) as f64;
     for _ in 0..rounds {
@@ -308,23 +311,12 @@ fn main() {
         }
     }
 
-    // Every phase is checked and counted, but an untraced run measures only
-    // the half of each runtime's phases during which the hypervisor took
-    // the least CPU time from this machine: on a shared host, a phase that
-    // lost a third of its CPU ran on a different machine.
     let results: Vec<(String, PhaseResult)> = phases
         .into_iter()
-        .map(|(name, mut list)| {
-            list.sort_by(|a, b| a.steal_s.total_cmp(&b.steal_s));
-            let noisy = if args.trace {
-                Vec::new()
-            } else {
-                list.split_off(list.len().div_ceil(2))
-            };
+        .map(|(name, list)| {
             let mut list = list.into_iter();
             let mut merged = list.next().expect("every target ran");
             list.for_each(|r| merged.absorb(r));
-            noisy.into_iter().for_each(|r| merged.absorb_unmeasured(r));
             (name, merged)
         })
         .collect();
@@ -374,13 +366,15 @@ fn main() {
             }
             let ops: u64 = r.segments.iter().map(|s| s.ops).sum();
             let window_ns: u64 = r.segments.iter().map(|s| s.window_ns).sum();
-            let (q1, q3) = r.ops_per_s_quartiles();
+            let [q1, q2, q3] = r.segment_ops_per_s_quartiles();
             format!(
-                "{}: {{\"phases\": {}, \"steal_s\": {}, \"segments\": {}, \"segment_ops_per_s_q1_q3\": [{q1}, {q3}], \"measured_ops\": {ops}, \"window_s\": {}, \"setup_s\": {}, \"attempted\": {}, \"failed\": {}}}",
+                "{}: {{\"phases\": {}, \"steal_s\": {}, \"segments\": {}, \"stolen_segments\": {}, \"segment_ops_per_s_q1_q2_q3\": [{q1}, {q2}, {q3}], \"measured_ops\": {ops}, \"latency_samples\": {}, \"window_s\": {}, \"setup_s\": {}, \"attempted\": {}, \"failed\": {}}}",
                 host::json_str(name),
                 r.setups.len(),
                 r.steal_s,
                 r.segments.len(),
+                r.stolen_segments,
+                r.latency.len(),
                 window_ns as f64 / 1e9,
                 median(r.setups.clone()),
                 r.attempted,

@@ -4,7 +4,10 @@
 //! at a barrier, then issues the operations one at a time, each only after
 //! the previous call returned.  The segment's wall time (barrier to
 //! barrier) is the measured window, so operation generation is not timed.
-//! The first tenth of a timed phase is warm-up and is not measured.
+//! The first tenth of a timed phase is warm-up and is not measured, and
+//! neither is a segment during which the hypervisor took CPU time from this
+//! machine: on a shared host such a segment ran on a slower machine, and
+//! a thread preempted inside a transaction stalls the other.
 //!
 //! The main thread only watches deadlines: a segment that runs past
 //! [`SEGMENT_DEADLINE`] (a lost wake-up or a livelock) raises the stop
@@ -20,6 +23,7 @@ use tm_sync::PthreadBuffer;
 use tm_workloads::{AnyRuntime, RuntimeKind};
 
 use crate::host;
+use crate::latency::Histogram;
 use crate::trace::{Layers, OpSpans, Traced};
 use crate::workload::{self, Image, Op, OpStream, State, Tally, Workload, HANDOFF_CAPACITY};
 
@@ -62,16 +66,12 @@ pub struct PhaseSpec {
     pub traced: bool,
 }
 
-/// One measured segment.
+/// One measured segment: operations completed in it, over its
+/// barrier-to-barrier window.
 #[derive(Clone, Copy, Debug)]
 pub struct Segment {
-    /// Operations completed in it, over its barrier-to-barrier window.
     pub ops: u64,
     pub window_ns: u64,
-    /// Exact closed-loop latency quantiles of its operations (untraced
-    /// phases only), in nanoseconds.
-    pub p50_ns: u64,
-    pub p99_ns: u64,
 }
 
 impl Segment {
@@ -89,6 +89,11 @@ pub struct PhaseResult {
     /// workers ran.
     pub steal_s: f64,
     pub segments: Vec<Segment>,
+    /// Segments left out because the hypervisor took CPU time during them.
+    pub stolen_segments: u64,
+    /// Closed-loop latency of every measured operation (untraced phases
+    /// only).
+    pub latency: Histogram,
     /// Span totals of the measured window (traced phases only).
     pub layers: Layers,
     /// Library counters over the measured window (TM phases only).
@@ -110,21 +115,17 @@ pub fn median(mut values: Vec<f64>) -> f64 {
     }
 }
 
-/// Figures are medians over the measured segments, so that a burst of
-/// interference from outside the benchmark moves a few segments rather
-/// than the result.
+/// Figures pool every measured operation: throughput is measured
+/// operations over measured time, and the latency quantiles are those of
+/// all measured calls, so that a stall in a few segments shows.
 impl PhaseResult {
     /// Folds a later phase of the same target into this one.
     pub fn absorb(&mut self, later: PhaseResult) {
         self.segments.extend(later.segments.iter().copied());
+        self.stolen_segments += later.stolen_segments;
+        self.latency.add(&later.latency);
         self.layers.add(&later.layers);
         self.stats = self.stats.merge(&later.stats);
-        self.absorb_unmeasured(later);
-    }
-
-    /// Folds in a later phase's set-up time, operation counts and check,
-    /// but not its measurements.
-    pub fn absorb_unmeasured(&mut self, later: PhaseResult) {
         self.setups.extend(later.setups);
         self.steal_s += later.steal_s;
         self.attempted += later.attempted;
@@ -134,30 +135,29 @@ impl PhaseResult {
         }
     }
 
-    fn median_of(&self, f: impl Fn(&Segment) -> f64) -> f64 {
-        median(self.segments.iter().map(f).collect())
-    }
-
     pub fn ops_per_s(&self) -> f64 {
-        self.median_of(Segment::ops_per_s)
+        let ops: u64 = self.segments.iter().map(|s| s.ops).sum();
+        let window_ns: u64 = self.segments.iter().map(|s| s.window_ns).sum();
+        ops as f64 * 1e9 / window_ns as f64
     }
 
-    /// First and third quartile of the segments' throughput.
-    pub fn ops_per_s_quartiles(&self) -> (f64, f64) {
+    /// First quartile, median and third quartile of the segments'
+    /// throughput: how evenly the measured time ran.
+    pub fn segment_ops_per_s_quartiles(&self) -> [f64; 3] {
         let mut v: Vec<f64> = self.segments.iter().map(Segment::ops_per_s).collect();
         v.sort_by(f64::total_cmp);
         match v.len() {
-            0 => (0.0, 0.0),
-            n => (v[n / 4], v[(3 * n) / 4]),
+            0 => [0.0; 3],
+            n => [v[n / 4], v[n / 2], v[(3 * n) / 4]],
         }
     }
 
     pub fn p50_us(&self) -> f64 {
-        self.median_of(|s| s.p50_ns as f64 / 1e3)
+        self.latency.quantile(0.50) / 1e3
     }
 
     pub fn p99_us(&self) -> f64 {
-        self.median_of(|s| s.p99_ns as f64 / 1e3)
+        self.latency.quantile(0.99) / 1e3
     }
 }
 
@@ -172,10 +172,17 @@ struct Control {
     measure: AtomicBool,
     finished: AtomicUsize,
     thread_ids: Vec<AtomicUsize>,
+    /// Whether segments with stolen time are left out (timed phases; the
+    /// spans and counters of a traced phase still cover them).
+    skip_stolen: bool,
+    /// Steal ticks read just before the running segment started.
+    steal_before: AtomicU64,
     /// Each worker's latency samples of the segment just finished.
     latencies: Vec<Mutex<Vec<u32>>>,
     seg_ops: AtomicU64,
     segments: Mutex<Vec<Segment>>,
+    stolen_segments: AtomicU64,
+    latency: Mutex<Histogram>,
     segments_run: AtomicUsize,
     orec_base: AtomicU64,
 }
@@ -193,27 +200,20 @@ impl Control {
         if !measured {
             return;
         }
-        let mut all: Vec<u32> = Vec::new();
-        for slot in &self.latencies {
-            all.extend_from_slice(&slot.lock().expect("a worker panicked"));
+        if self.skip_stolen && host::steal_ticks() != self.steal_before.load(Ordering::SeqCst) {
+            self.stolen_segments.fetch_add(1, Ordering::SeqCst);
+            return;
         }
-        let mut rank = |q: f64| -> u64 {
-            if all.is_empty() {
-                return 0;
+        let mut latency = self.latency.lock().expect("a worker panicked");
+        for slot in &self.latencies {
+            for &ns in slot.lock().expect("a worker panicked").iter() {
+                latency.record(ns);
             }
-            let i = ((q * all.len() as f64).ceil() as usize).clamp(1, all.len()) - 1;
-            *all.select_nth_unstable(i).1 as u64
-        };
-        let (p50_ns, p99_ns) = (rank(0.50), rank(0.99));
+        }
         self.segments
             .lock()
             .expect("a worker panicked")
-            .push(Segment {
-                ops,
-                window_ns,
-                p50_ns,
-                p99_ns,
-            });
+            .push(Segment { ops, window_ns });
     }
 }
 
@@ -373,6 +373,10 @@ fn worker(
         ops.clear();
         ops.extend((0..SEGMENT_OPS).map(|_| stream.next_op()));
         latencies.clear();
+        if w == 0 && ctl.skip_stolen {
+            ctl.steal_before
+                .store(host::steal_ticks(), Ordering::SeqCst);
+        }
         if barrier.wait() {
             ctl.seg_start.store(ctl.now_ns(), Ordering::SeqCst);
         }
@@ -426,8 +430,10 @@ fn worker(
             let segments = ctl.segments_run.fetch_add(1, Ordering::SeqCst) + 1;
             let elapsed = phase_start.elapsed();
             let (go_on, measure_next) = match spec.budget {
+                // Runs on, for a while, until a segment was measured.
                 Budget::Time(d) => (
-                    elapsed < d || ctl.segments.lock().expect("poisoned").is_empty(),
+                    elapsed < d
+                        || (elapsed < 4 * d && ctl.segments.lock().expect("poisoned").is_empty()),
                     elapsed >= d / 10,
                 ),
                 Budget::Segments(n) => (segments < n, true),
@@ -467,9 +473,13 @@ pub fn run_phase(spec: &PhaseSpec, streams: &[OpStream]) -> PhaseResult {
         thread_ids: (0..spec.workers)
             .map(|_| AtomicUsize::new(usize::MAX))
             .collect(),
+        skip_stolen: matches!(spec.budget, Budget::Time(_)),
+        steal_before: AtomicU64::new(0),
         latencies: (0..spec.workers).map(|_| Mutex::new(Vec::new())).collect(),
         seg_ops: AtomicU64::new(0),
         segments: Mutex::new(Vec::new()),
+        stolen_segments: AtomicU64::new(0),
+        latency: Mutex::new(Histogram::default()),
         segments_run: AtomicUsize::new(0),
         orec_base: AtomicU64::new(0),
     };
@@ -542,6 +552,8 @@ pub fn run_phase(spec: &PhaseSpec, streams: &[OpStream]) -> PhaseResult {
         setups: vec![setup_s],
         steal_s,
         segments: ctl.segments.into_inner().expect("a worker panicked"),
+        stolen_segments: ctl.stolen_segments.into_inner(),
+        latency: ctl.latency.into_inner().expect("a worker panicked"),
         layers,
         stats,
         attempted,
