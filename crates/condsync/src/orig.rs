@@ -20,7 +20,7 @@ use std::sync::Arc;
 use tm_core::lock::Mutex;
 
 use tm_core::stats::TxStats;
-use tm_core::{Semaphore, ThreadCtx, ThreadId};
+use tm_core::{CommitOutcome, Semaphore, ThreadCtx, ThreadId};
 
 /// A published record of a transaction sleeping under the original Retry.
 #[derive(Debug)]
@@ -98,7 +98,7 @@ impl OrigRegistry {
     /// after an intersection hit).
     ///
     /// Returns the number of threads woken.
-    pub fn wake_all(&self, thread: &Arc<ThreadCtx>) -> usize {
+    fn wake_all(&self, thread: &Arc<ThreadCtx>) -> usize {
         if self.is_empty() {
             return 0;
         }
@@ -114,12 +114,28 @@ impl OrigRegistry {
         woken
     }
 
+    /// Wakes the sleepers a writer commit may concern (Algorithm 1,
+    /// `TxCommit` lines 10–15): every one after a serial commit, which has
+    /// no lock set to intersect, otherwise those whose read locks intersect
+    /// the commit's written stripes.  Software commits report their lock
+    /// set; hardware commits their written-line stripe cover, a superset of
+    /// the written words' stripes — conservative, never lossy.
+    ///
+    /// Returns the number of threads woken.
+    pub fn wake_for_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) -> usize {
+        if outcome.serial {
+            self.wake_all(thread)
+        } else {
+            self.wake_matching(thread, &outcome.written_orecs)
+        }
+    }
+
     /// Wakes every waiter whose read-lock set intersects `written_orecs`
     /// (Algorithm 1, `TxCommit` lines 10–15).  Called by a writer after it
     /// has committed and released its locks.
     ///
     /// Returns the number of threads woken.
-    pub fn wake_matching(&self, thread: &Arc<ThreadCtx>, written_orecs: &[usize]) -> usize {
+    fn wake_matching(&self, thread: &Arc<ThreadCtx>, written_orecs: &[usize]) -> usize {
         if self.is_empty() || written_orecs.is_empty() {
             return 0;
         }

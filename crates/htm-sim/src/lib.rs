@@ -3,13 +3,12 @@
 //! the paper's **HTM** configuration.
 //!
 //! The runtime here ([`HtmSim`]) drives *any* [`tm_core::hwtm::HwTm`]
-//! backend; this crate supplies two of them — the simulator ([`SimPlane`],
-//! the default) and the cfg-gated `rtm` stub (compiled with
-//! `--features rtm`) where a real Intel RTM / Arm TME implementation slots
-//! in — and `tm-core` supplies a third, the deterministic fault-injection
-//! decorator
+//! backend; this crate supplies the simulator ([`SimPlane`], the default),
+//! and `tm-core` supplies the deterministic fault-injection decorator
 //! ([`tm_core::hwtm::FaultPlane`], installed automatically when
-//! [`tm_core::FaultConfig`] enables it).
+//! [`tm_core::FaultConfig`] enables it).  A real Intel RTM / Arm TME
+//! backend would be a third [`tm_core::hwtm::HwTm`] implementation,
+//! installed with [`HtmSim::with_plane`].
 //!
 //! Why the default backend is a simulator: issuing real `xbegin`/`xend`
 //! requires inline assembly and TSX-enabled silicon, neither of which this
@@ -44,8 +43,6 @@
 
 pub mod lines;
 pub mod plane;
-#[cfg(feature = "rtm")]
-pub mod rtm;
 pub mod runtime;
 pub mod tx;
 

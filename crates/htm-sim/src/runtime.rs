@@ -14,7 +14,7 @@ use tm_core::hwtm::{FaultPlane, HwTm};
 use tm_core::lock::{Mutex, MutexGuard};
 use tm_core::{
     ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode, TxResult,
-    WaitCondition, WaitSpec, WakeSet,
+    WaitCondition, WaitSpec,
 };
 
 use crate::lines::LineTable;
@@ -26,7 +26,7 @@ use crate::tx::HtmTx;
 /// By default the backend is the crate's [`SimPlane`] simulator (wrapped in
 /// a [`FaultPlane`] when the system's [`tm_core::FaultConfig`] enables
 /// injection); [`HtmSim::with_plane`] installs any other [`HwTm`]
-/// implementation, e.g. the cfg-gated `rtm` stub (`--features rtm`).
+/// implementation, such as a real hardware backend.
 pub struct HtmSim {
     system: Arc<TmSystem>,
     /// The simulator backend, when that is what `plane` is (directly or
@@ -227,19 +227,6 @@ impl TxEngine for HtmSim {
     fn mode_after_wake(&self) -> TxMode {
         // After waking, try hardware again from scratch.
         TxMode::Hardware
-    }
-
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.hardware {
-            // The commit path mapped its written cache lines to stripes
-            // (a superset of the written words' stripes), so the wake scan
-            // can be targeted even though orecs were never touched.
-            WakeSet::Stripes(outcome.written_orecs.clone())
-        } else {
-            // Serial-fallback commits write directly with no metadata at
-            // all; conservatively wake every shard.
-            WakeSet::All
-        }
     }
 
     fn mode_for_software_switch(&self, _current: TxMode) -> TxMode {

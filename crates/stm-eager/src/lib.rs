@@ -13,14 +13,22 @@
 //! * Abort undoes writes in reverse order, releases locks at `version + 1`,
 //!   blindly bumps the clock, and undoes transactional allocations.
 //!
+//! This crate owns only what is eager about it: the write policy
+//! ([`tx::UndoPolicy`]: encounter-time locking, the undo log, the lock-set
+//! commit and the undo-and-unlock rollback) and the runtime
+//! ([`runtime::EagerStm`]).  The rest of an attempt — reads, snapshot
+//! reads, read-set validation, the read-only commit, allocation, the
+//! deschedule rollback and `commit_and_reopen` — is the shared
+//! `tm_core::stm::StmTx`, which [`EagerTx`] instantiates with the undo
+//! policy.  `Await` still captures its value snapshot while this runtime's
+//! locks are held: the policy restores memory from the undo log first.
+//!
 //! Condition synchronization is layered on via the *shared* driver loop in
 //! `tm_core::driver`: [`runtime::EagerStm`] implements the narrow
 //! `TxEngine` interface (begin / commit / rollback / materialise-wait plus
 //! the `Retry-Orig` hooks), and the loop owns re-execution, the deschedule
 //! hand-off to [`condsync::deschedule()`], and the post-commit
-//! [`condsync::wake_waiters`] scan.  `Await` still captures its value
-//! snapshot while this runtime's locks are held (see
-//! [`tx::EagerTx::rollback_for_deschedule`]).
+//! [`condsync::wake_waiters`] scan.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,4 +37,4 @@ pub mod runtime;
 pub mod tx;
 
 pub use runtime::EagerStm;
-pub use tx::EagerTx;
+pub use tx::{EagerTx, UndoPolicy};

@@ -1,592 +1,150 @@
-//! The per-attempt transaction descriptor for the eager STM
-//! (Algorithms 8–11 of the paper's Appendix A).
+//! The eager STM's write policy (Algorithms 8–11 of the paper's
+//! Appendix A): encounter-time locks and an undo log.  The rest of the
+//! attempt is the shared [`tm_core::stm::StmTx`].
 
-use std::sync::Arc;
-
-use tm_core::access::{cover_valid_at, IndexSet, ReadSet, WriteLog};
-use tm_core::driver::CommitOutcome;
-use tm_core::serial::{subscribe_begin, SerialAttempt};
+use tm_core::access::{IndexSet, WriteLog};
 use tm_core::stats::TxStats;
-use tm_core::{
-    AbortReason, Addr, OrecValue, SnapshotMode, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
-    TxResult, WaitCondition, WaitSpec,
-};
+use tm_core::stm::{Attempt, StmTx, WritePolicy};
+use tm_core::{AbortReason, Addr, OrecValue, ThreadCtx, TxCtl, TxResult};
 
 /// An in-flight eager-STM transaction attempt.
-///
-/// The read set, undo log and lock set are pooled access-set containers
-/// (`tm_core::access`): read-after-write old-value lookups and lock-set
-/// membership are O(1), the read set's orec cover stays sorted
-/// incrementally, and a re-executed attempt inherits the previous
-/// attempt's capacity through the thread's `LogPool`.
-#[derive(Debug)]
-pub struct EagerTx {
-    common: TxCommon,
-    system: Arc<TmSystem>,
-    /// Global-clock value sampled at begin (Algorithm 9, `start`).
-    start: u64,
-    /// Addresses read by the transaction (Algorithm 8, `reads`), with their
-    /// orec stripes cached at read time.
-    reads: ReadSet,
+pub type EagerTx = StmTx<UndoPolicy>;
+
+/// Writes in place behind encounter-time locks, logging old values for
+/// rollback.
+#[derive(Debug, Default)]
+pub struct UndoPolicy {
     /// Old values of written locations (Algorithm 8, `undos`): one entry
     /// per address holding the pre-transaction value.
     undos: WriteLog,
-    /// Ownership-record indices held by this transaction (Algorithm 8, `locks`).
+    /// Ownership-record indices held by this attempt (Algorithm 8,
+    /// `locks`).  It is also the write set's stripe cover, so the undo
+    /// log's own cover is left degenerate (constant index).
     locks: IndexSet,
-    /// Transactional allocations, undone on abort.
-    mallocs: Vec<(Addr, usize)>,
-    /// Deferred frees, performed at commit.
-    frees: Vec<(Addr, usize)>,
-    /// `Some` when this attempt runs serially behind the system's
-    /// [`tm_core::SerialGate`] ([`TxMode::Serial`]): all accesses go
-    /// straight to the shared serial attempt, the instrumented logs stay
-    /// empty.
-    serial: Option<SerialAttempt>,
-    /// True when this attempt runs on the snapshot read path: a declared
-    /// read-only transaction in plain [`TxMode::Software`] mode with
-    /// [`SnapshotMode`] enabled.  Reads validate against `start` only, no
-    /// read set is kept, writes abort with
-    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.
-    snapshot: bool,
-    /// Whether the snapshot attempt has completed at least one read
-    /// (gates the [`SnapshotMode::On`] first-read refresh).
-    snap_observed: bool,
-    /// The distinct orec stripes read so far, kept only under
-    /// [`SnapshotMode::Extend`] so a too-new version can be survived by
-    /// re-checking that no covered stripe moved past `start`.
-    snap_cover: IndexSet,
 }
 
-impl EagerTx {
-    /// Begins a new attempt: samples the clock and publishes the start time
-    /// for quiescence (through the serial gate's subscription protocol), or
-    /// acquires the serial gate for [`TxMode::Serial`] attempts.
-    pub fn begin(system: &Arc<TmSystem>, common: TxCommon) -> Self {
-        let (serial, start) = if common.mode == TxMode::Serial {
-            (
-                Some(SerialAttempt::begin(system, &common.thread)),
-                system.clock.now(),
-            )
-        } else {
-            (None, subscribe_begin(system, &common.thread))
-        };
-        let snapshot = common.kind == TxKind::ReadOnly
-            && common.mode == TxMode::Software
-            && system.config.snapshot.is_enabled();
-        // Snapshot attempts keep no logs at all; skip the pool round trip
-        // (zero-capacity containers are dropped, not pooled, on `put`).
-        let (reads, undos, locks) = if snapshot {
-            (ReadSet::new(), WriteLog::new(), IndexSet::new())
-        } else {
-            (
-                common.thread.take_read_set(),
-                common.thread.take_write_log(),
-                common.thread.take_index_set(),
-            )
-        };
-        let snap_cover = if snapshot && system.config.snapshot == SnapshotMode::Extend {
-            common.thread.take_index_set()
-        } else {
-            IndexSet::new()
-        };
-        EagerTx {
-            common,
-            system: Arc::clone(system),
-            start,
-            reads,
-            undos,
-            locks,
-            mallocs: Vec::new(),
-            frees: Vec::new(),
-            serial,
-            snapshot,
-            snap_observed: false,
-            snap_cover,
-        }
-    }
-
-    /// The clock value sampled at begin.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
-    /// Ownership-record indices covering the read set (used by `Retry-Orig`),
-    /// sorted and deduplicated — the read set's own stripe cover, not
-    /// recomputed from the address list.
-    pub fn read_orec_indices(&mut self) -> Vec<usize> {
-        self.reads.orec_cover().to_vec()
-    }
-
-    fn me(&self) -> usize {
-        self.common.thread.id
-    }
-
-    /// Records an `(addr, value)` pair in the Retry value log, substituting
-    /// the pre-transaction value for locations this transaction has written
-    /// (Algorithm 5, `TxRead` lines 2–5): after the rollback that accompanies
-    /// a deschedule, memory holds the *old* value, so that is what the
-    /// wake-up check must compare against.
-    fn retry_log(&mut self, addr: Addr, observed: u64) {
-        if self.common.mode != TxMode::SoftwareRetry {
-            return;
-        }
-        let logged = self.undos.lookup(addr).unwrap_or(observed);
-        self.common.log_retry_read(addr, logged);
-    }
-
-    /// One snapshot-path read: lock–value–lock against `start` only.  No
-    /// read set, no value logging; a too-new version first tries a snapshot
-    /// refresh ([`EagerTx::try_snapshot_refresh`]) before aborting.
-    fn snapshot_read(&mut self, addr: Addr) -> TxResult<u64> {
-        let idx = self.system.orecs.index_for(addr);
-        loop {
-            let before = self.system.orecs.load(idx);
-            let val = self.system.heap.load(addr);
-            let after = self.system.orecs.load(idx);
-            if before == after && !before.is_locked() {
-                if before.version() <= self.start {
-                    self.snap_observed = true;
-                    if self.system.config.snapshot == SnapshotMode::Extend {
-                        self.snap_cover.insert(idx);
-                    }
-                    return Ok(val);
-                }
-                self.system
-                    .clock
-                    .note_stale(before.version(), &self.common.thread.stats);
-                if self.try_snapshot_refresh() {
-                    continue;
-                }
-            }
-            return Err(TxCtl::Abort(AbortReason::ReadConflict));
-        }
-    }
-
-    /// Attempts to advance the begin snapshot past a too-new version.
-    ///
-    /// Under [`SnapshotMode::On`] this is sound only before the first
-    /// successful read (nothing has been observed, so any snapshot is still
-    /// admissible).  Under [`SnapshotMode::Extend`] the accumulated stripe
-    /// cover is re-checked at the *old* snapshot: if no covered stripe is
-    /// locked or newer than `start`, no covered location changed between the
-    /// old snapshot and now, so every prior read is also valid at the new
-    /// one.  The new start is re-published through the serial-gate
-    /// subscription handshake, exactly like a fresh begin.
-    fn try_snapshot_refresh(&mut self) -> bool {
-        let extendable = match self.system.config.snapshot {
-            SnapshotMode::Extend => true,
-            SnapshotMode::On => !self.snap_observed,
-            SnapshotMode::Off => false,
-        };
-        if !extendable {
-            return false;
-        }
-        self.common.thread.exit_tx();
-        let new_start = subscribe_begin(&self.system, &self.common.thread);
-        // Re-validate *after* the new snapshot is published: anything the
-        // check admits was unchanged up to a point at or after `new_start`.
-        if self.system.config.snapshot == SnapshotMode::Extend
-            && !cover_valid_at(&self.system.orecs, self.snap_cover.as_slice(), self.start)
-        {
-            // A covered stripe moved; the attempt is doomed.  Keep the newly
-            // published start — the caller aborts and the rollback exits.
-            self.start = new_start;
-            return false;
-        }
-        self.start = new_start;
-        TxStats::bump(&self.common.thread.stats.snapshot_refreshes);
-        true
-    }
-
-    /// Acquires the ownership record covering `addr` for writing, returning
-    /// the orec index, or an abort if it is held by another transaction or
-    /// is too new.
-    fn acquire(&mut self, addr: Addr) -> TxResult<usize> {
-        let idx = self.system.orecs.index_for(addr);
-        let cur = self.system.orecs.load(idx);
-        if cur.is_locked_by(self.me()) {
-            return Ok(idx);
+impl UndoPolicy {
+    /// Acquires the ownership record covering `addr` for writing, or aborts
+    /// if another attempt holds it or it is too new.
+    fn acquire(&mut self, at: &Attempt, addr: Addr) -> TxResult<()> {
+        let orecs = &at.system().orecs;
+        let idx = orecs.index_for(addr);
+        let cur = orecs.load(idx);
+        if cur.is_locked_by(at.me()) {
+            return Ok(());
         }
         if !cur.is_locked() {
-            if cur.version() <= self.start {
-                let locked = OrecValue::locked(cur.version(), self.me());
-                if self.system.orecs.cas(idx, cur, locked) {
+            if cur.version() <= at.start() {
+                if orecs.cas(idx, cur, OrecValue::locked(cur.version(), at.me())) {
                     self.locks.insert(idx);
-                    return Ok(idx);
+                    return Ok(());
                 }
             } else {
-                // Too new: fold the version into the clock so the retry
-                // begins current even before the committer publishes its
-                // epoch (lazy clock plane; no-op under GV1).
-                self.system
-                    .clock
-                    .note_stale(cur.version(), &self.common.thread.stats);
+                at.note_stale(cur.version());
             }
         }
         Err(TxCtl::Abort(AbortReason::WriteConflict))
     }
+}
 
-    /// Rolls the attempt back: undoes writes in reverse order, releases locks
-    /// at `version + 1`, bumps the clock, undoes allocations, and clears all
-    /// logs (Algorithm 11).  Serial attempts undo their direct writes and
-    /// release the gate.  Safe to call more than once.
-    pub fn rollback(&mut self) {
-        if let Some(serial) = &mut self.serial {
-            serial.rollback();
-            return;
+impl WritePolicy for UndoPolicy {
+    type Setup = ();
+
+    fn begin(thread: &ThreadCtx, _setup: (), pooled: bool) -> Self {
+        if !pooled {
+            return UndoPolicy::default();
         }
-        for e in self.undos.iter().rev() {
-            self.system.heap.store(e.addr, e.val);
+        UndoPolicy {
+            undos: thread.take_write_log(),
+            locks: thread.take_index_set(),
         }
+    }
+
+    #[inline]
+    fn is_read_only(&self) -> bool {
+        self.locks.is_empty()
+    }
+
+    #[inline]
+    fn undo_value(&self, addr: Addr) -> Option<u64> {
+        self.undos.lookup(addr)
+    }
+
+    fn lock_for_write(&mut self, at: &Attempt, addr: Addr) -> TxResult<bool> {
+        at.require_update()?;
+        self.acquire(at, addr)?;
+        Ok(true)
+    }
+
+    fn write(&mut self, at: &Attempt, addr: Addr, val: u64) -> TxResult<()> {
+        // Algorithm 10, TxWrite: acquire the orec, log the old value (first
+        // write per address only), update in place.
+        self.acquire(at, addr)?;
+        let heap = &at.system().heap;
+        self.undos.record_first(addr, heap.load(addr), || 0);
+        heap.store(addr, val);
+        Ok(())
+    }
+
+    fn commit(&mut self, at: &Attempt) -> Result<(Vec<usize>, u64), TxCtl> {
+        // Stamped after the lock phase: every orec this commit will touch is
+        // already held, which is what makes a non-unique (lazy) stamp sound.
+        let stamp = at.system().clock.commit_stamp(at.stats());
+        if !at.reads_valid(stamp, false) {
+            return Err(TxCtl::Abort(AbortReason::CommitValidation));
+        }
+        // The transaction is committed: release locks at the new version.
+        let written = self.locks.take_entries();
+        for &idx in &written {
+            at.system().orecs.store(idx, OrecValue::unlocked(stamp.ts));
+        }
+        Ok((written, stamp.ts))
+    }
+
+    fn rollback(&mut self, at: &Attempt) {
+        // Algorithm 11: undo writes in reverse order, release locks at
+        // `version + 1`.
+        self.restore_memory(at);
+        let orecs = &at.system().orecs;
         for idx in self.locks.iter() {
-            let cur = self.system.orecs.load(idx);
-            self.system
-                .orecs
-                .store(idx, OrecValue::unlocked(cur.version() + 1));
+            let cur = orecs.load(idx);
+            orecs.store(idx, OrecValue::unlocked(cur.version() + 1));
         }
         if !self.locks.is_empty() {
             // Keep the bumped lock versions legal with respect to the clock
             // (Algorithm 11, line 5): a blind tick under GV1; in lazy mode
             // the inflated versions are covered by `note_stale` on the
             // reader side instead, so the shared line stays untouched.
-            self.system.clock.rollback_bump(&self.common.thread.stats);
+            at.system().clock.rollback_bump(at.stats());
         }
-        for &(addr, words) in &self.mallocs {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
-        }
-        self.reset_logs();
-        self.common.thread.exit_tx();
     }
 
-    fn reset_logs(&mut self) {
-        let stats = &self.common.thread.stats;
-        TxStats::record_max(&stats.read_set_max, self.reads.len() as u64);
+    fn restore_memory(&mut self, at: &Attempt) {
+        // Record the write-set high-water mark before the log is drained.
+        TxStats::record_max(&at.stats().write_set_max, self.undos.len() as u64);
+        for e in self.undos.iter().rev() {
+            at.system().heap.store(e.addr, e.val);
+        }
+        self.undos.clear();
+    }
+
+    fn clear(&mut self, stats: &TxStats) {
         TxStats::record_max(&stats.write_set_max, self.undos.len() as u64);
-        self.reads.clear();
         self.undos.clear();
         self.locks.clear();
-        self.snap_cover.clear();
-        self.snap_observed = false;
-        self.mallocs.clear();
-        self.frees.clear();
     }
 
-    /// Attempts to commit (Algorithm 9, `TxCommit`).  On failure the caller
-    /// must invoke [`EagerTx::rollback`].
-    pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
-        if let Some(serial) = &mut self.serial {
-            return Ok(serial.commit());
-        }
-        // Read-only fast path: every read was validated at the time it
-        // happened, so nothing further is required.
-        if self.locks.is_empty() {
-            if self.snapshot {
-                // The snapshot commit did zero read-set pushes and performs
-                // zero commit-time orec loads.
-                TxStats::bump(&self.common.thread.stats.ro_fast_commits);
-            }
-            for &(addr, words) in &self.frees {
-                self.system
-                    .heap
-                    .dealloc_for(&self.common.thread, addr, words);
-            }
-            self.reset_logs();
-            self.common.thread.exit_tx();
-            return Ok(CommitOutcome::read_only());
-        }
-
-        // Stamped after the lock phase: every orec this commit will touch is
-        // already held, which is what makes a non-unique (lazy) stamp sound.
-        let stamp = self.system.clock.commit_stamp(&self.common.thread.stats);
-        let end = stamp.ts;
-        // Fast path: if no other transaction committed since we started, the
-        // read set cannot have been invalidated.  Requires a *unique* stamp —
-        // a lazy stamp may be shared with a concurrent committer, so lazy
-        // commits always validate.
-        if !stamp.unique || end != self.start + 1 {
-            for e in self.reads.iter() {
-                // The stripe index was cached when the read was validated,
-                // so validation does not hash the address a second time.
-                let o = self.system.orecs.load(e.stripe);
-                let ok = if o.is_locked() {
-                    o.is_locked_by(self.me())
-                } else if o.version() <= self.start {
-                    true
-                } else {
-                    self.system
-                        .clock
-                        .note_stale(o.version(), &self.common.thread.stats);
-                    false
-                };
-                if !ok {
-                    return Err(TxCtl::Abort(AbortReason::CommitValidation));
-                }
-            }
-        }
-
-        // The transaction is committed: release locks at the new version.
-        let written = self.locks.take_entries();
-        for &idx in &written {
-            self.system.orecs.store(idx, OrecValue::unlocked(end));
-        }
-        // Finalize deferred frees; allocations simply survive.
-        for &(addr, words) in &self.frees {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
-        }
-        self.reset_logs();
-        // Publish the commit epoch only now that every lock is released and
-        // the write-back is visible; later begins start at or above `end`,
-        // which also bounds the quiescence wait below.
-        self.common.thread.publish_epoch(end);
-        self.common.thread.exit_tx();
-        // Privatization-safety quiescence (Algorithm 9, line 20).
-        self.system.quiesce(&self.common.thread, end);
-        Ok(CommitOutcome::software_writer(written, end))
-    }
-
-    /// Rolls back and materialises the wait condition for a deschedule
-    /// request.  Returns `Err` (with the transaction already rolled back) if
-    /// the condition could not be captured consistently, in which case the
-    /// driver simply re-executes the transaction.
-    pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
-        if let Some(serial) = &mut self.serial {
-            return serial.rollback_for_deschedule(spec, &mut self.common);
-        }
-        match spec {
-            WaitSpec::ReadSetValues => {
-                let pairs = self.common.waitset.drain_pairs();
-                self.rollback();
-                Ok(WaitCondition::ValuesChanged(pairs))
-            }
-            WaitSpec::Addrs(addrs) => {
-                // Record the write-set high-water mark now: the undo log is
-                // drained below, before `rollback` can observe its size.
-                TxStats::record_max(
-                    &self.common.thread.stats.write_set_max,
-                    self.undos.len() as u64,
-                );
-                // Algorithm 6: undo writes first so memory shows the state
-                // from before the transaction, then read the requested
-                // addresses while still holding our locks, validating each
-                // against the start time so the snapshot is consistent.
-                for e in self.undos.iter().rev() {
-                    self.system.heap.store(e.addr, e.val);
-                }
-                self.undos.clear();
-                let mut pairs = Vec::with_capacity(addrs.len());
-                let mut consistent = true;
-                for addr in addrs {
-                    let o = self.system.orecs.load_for(addr);
-                    let ok = if o.is_locked() {
-                        o.is_locked_by(self.me())
-                    } else {
-                        o.version() <= self.start
-                    };
-                    if !ok {
-                        consistent = false;
-                        break;
-                    }
-                    pairs.push((addr, self.system.heap.load(addr)));
-                }
-                self.rollback();
-                if consistent {
-                    Ok(WaitCondition::ValuesChanged(pairs))
-                } else {
-                    Err(TxCtl::Abort(AbortReason::ReadConflict))
-                }
-            }
-            WaitSpec::Pred { f, args } => {
-                self.rollback();
-                Ok(WaitCondition::Pred { f, args })
-            }
-            WaitSpec::OrigReadLocks => {
-                // Handled by the driver (it needs the read-orec list *and*
-                // the registry); reaching this point is a logic error.
-                self.rollback();
-                Err(TxCtl::Abort(AbortReason::ReadConflict))
-            }
-        }
-    }
-}
-
-impl Drop for EagerTx {
-    fn drop(&mut self) {
-        // Recycle the attempt's access sets so the next attempt (or the
-        // thread's next transaction) reuses their capacity.
-        let thread = Arc::clone(&self.common.thread);
-        thread.put_read_set(std::mem::take(&mut self.reads));
+    fn recycle(&mut self, thread: &ThreadCtx) {
         thread.put_write_log(std::mem::take(&mut self.undos));
         thread.put_index_set(std::mem::take(&mut self.locks));
-        // The Extend-mode stripe cover is an index set, not a read set: it
-        // must not feed the `read_set_max` high-water mark (snapshot commits
-        // keep no read set by construction).
-        thread
-            .pool
-            .put_index_set(std::mem::take(&mut self.snap_cover));
-    }
-}
-
-impl Tx for EagerTx {
-    fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        // Serial attempts read directly: the gate holder runs alone.  Their
-        // reads are never value-logged — a serial `Retry` relogs in
-        // SoftwareRetry mode (see the driver's ReadSetValues dispatch).
-        if let Some(serial) = &self.serial {
-            return Ok(serial.read(addr));
-        }
-        if self.snapshot {
-            return self.snapshot_read(addr);
-        }
-        // Algorithm 10, TxRead: atomically read lock–value–lock and accept
-        // only if the snapshot is consistent and not too new.
-        let idx = self.system.orecs.index_for(addr);
-        let before = self.system.orecs.load(idx);
-        let val = self.system.heap.load(addr);
-        let after = self.system.orecs.load(idx);
-
-        if before.is_locked_by(self.me()) {
-            self.retry_log(addr, val);
-            return Ok(val);
-        }
-        if before == after && !before.is_locked() {
-            if before.version() <= self.start {
-                // The stripe computed for this validation is cached in the
-                // entry, so commit-time re-validation never hashes again.
-                self.reads.record(addr, idx);
-                self.retry_log(addr, val);
-                return Ok(val);
-            }
-            self.system
-                .clock
-                .note_stale(before.version(), &self.common.thread.stats);
-        }
-        Err(TxCtl::Abort(AbortReason::ReadConflict))
-    }
-
-    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        if let Some(serial) = &mut self.serial {
-            serial.write(addr, val);
-            return Ok(());
-        }
-        if self.snapshot {
-            // Discovered-read-only speculation failed: the driver upgrades
-            // the transaction to a full update attempt and restarts it.
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        // Algorithm 10, TxWrite: acquire the orec, log the old value (first
-        // write per address only — the log is keyed by address), update in
-        // place.  The stripe cover of the write set is the lock set
-        // (`self.locks`), so the undo log's own cover is left degenerate
-        // (constant index) rather than maintained for nobody.
-        self.acquire(addr)?;
-        let old = self.system.heap.load(addr);
-        self.undos.record_first(addr, old, || 0);
-        self.system.heap.store(addr, val);
-        Ok(())
-    }
-
-    fn read_for_write(&mut self, addr: Addr) -> TxResult<u64> {
-        if self.serial.is_some() {
-            return self.read(addr);
-        }
-        if self.snapshot {
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        // "Read for write" (§2.2.4): acquire the lock immediately and do not
-        // add the address to the read set — it is protected by the lock.
-        self.acquire(addr)?;
-        let val = self.system.heap.load(addr);
-        self.retry_log(addr, val);
-        Ok(val)
-    }
-
-    fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        if let Some(serial) = &mut self.serial {
-            return serial
-                .alloc(words)
-                .ok_or(TxCtl::Abort(AbortReason::OutOfMemory));
-        }
-        if self.snapshot {
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        match self.system.heap.alloc_for(&self.common.thread, words) {
-            Some(addr) => {
-                self.mallocs.push((addr, words));
-                Ok(addr)
-            }
-            None => Err(TxCtl::Abort(AbortReason::OutOfMemory)),
-        }
-    }
-
-    fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-        if let Some(serial) = &mut self.serial {
-            serial.free(addr, words);
-            return Ok(());
-        }
-        if self.snapshot {
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        self.frees.push((addr, words));
-        Ok(())
-    }
-
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        // Used only by transaction-safe condition variables: commit the work
-        // so far (breaking atomicity), run the blocking section outside any
-        // transaction, then begin a fresh transaction for the remainder.
-        if self.serial.is_some() {
-            let outcome = self.try_commit()?;
-            // Same accounting rule as the non-serial branch below — only
-            // writer segments count — plus the serial_commits ⊆ sw_commits
-            // invariant the stats docs establish.
-            if outcome.was_writer {
-                TxStats::bump(&self.common.thread.stats.sw_commits);
-                TxStats::bump(&self.common.thread.stats.serial_commits);
-            }
-            block();
-            // Continue in the same (serial) flavour: re-acquire the gate.
-            self.serial = Some(SerialAttempt::begin(&self.system, &self.common.thread));
-            self.start = self.system.clock.now();
-            return Ok(());
-        }
-        match self.try_commit() {
-            Ok(info) => {
-                if info.was_writer {
-                    TxStats::bump(&self.common.thread.stats.sw_commits);
-                }
-                block();
-                self.start = subscribe_begin(&self.system, &self.common.thread);
-                Ok(())
-            }
-            Err(ctl) => Err(ctl),
-        }
-    }
-
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        TxCtl::Abort(AbortReason::Explicit(code))
-    }
-
-    fn common(&self) -> &TxCommon {
-        &self.common
-    }
-
-    fn common_mut(&mut self) -> &mut TxCommon {
-        &mut self.common
-    }
-
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{TmConfig, TxMode};
+    use std::sync::Arc;
+    use tm_core::{TmConfig, TmSystem, Tx, TxCommon, TxKind, TxMode, WaitCondition, WaitSpec};
 
     fn setup() -> (Arc<TmSystem>, EagerTx) {
         let system = TmSystem::new(TmConfig::small());
@@ -833,147 +391,20 @@ mod tests {
         assert_eq!(system.heap.load(Addr(40)), 0);
     }
 
-    fn begin_snapshot(system: &Arc<TmSystem>) -> EagerTx {
+    #[test]
+    fn snapshot_read_for_write_aborts_with_read_only_write() {
+        // Read-for-write takes an encounter-time lock, which a snapshot
+        // attempt may not do: it upgrades like a write.
+        let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
-        EagerTx::begin(
-            system,
+        let mut tx = EagerTx::begin(
+            &system,
             TxCommon::new(th, TxMode::Software, 0).with_kind(TxKind::ReadOnly),
-        )
-    }
-
-    #[test]
-    fn snapshot_read_keeps_no_read_set_and_commits_free() {
-        let system = TmSystem::new(TmConfig::small());
-        system.heap.store(Addr(3), 7);
-        system.heap.store(Addr(4), 8);
-        let mut tx = begin_snapshot(&system);
-        assert!(tx.snapshot, "small config enables snapshots");
-        assert_eq!(tx.read(Addr(3)).unwrap(), 7);
-        assert_eq!(tx.read(Addr(4)).unwrap(), 8);
-        assert!(tx.reads.is_empty(), "snapshot reads record nothing");
-        let th = Arc::clone(&tx.common.thread);
-        let info = tx.try_commit().unwrap();
-        assert!(!info.was_writer);
-        drop(tx);
-        let snap = th.stats.snapshot();
-        assert_eq!(snap.ro_fast_commits, 1);
-        assert_eq!(snap.read_set_max, 0, "no read set ever pooled back");
-    }
-
-    #[test]
-    fn snapshot_write_aborts_with_read_only_write() {
-        let system = TmSystem::new(TmConfig::small());
-        let mut tx = begin_snapshot(&system);
-        assert!(matches!(
-            tx.write(Addr(1), 9),
-            Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
-        ));
+        );
         assert!(matches!(
             tx.read_for_write(Addr(1)),
             Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
         ));
-        assert!(matches!(
-            tx.alloc(4),
-            Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
-        ));
-        assert!(matches!(
-            tx.free(Addr(1), 1),
-            Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
-        ));
         tx.rollback();
-    }
-
-    #[test]
-    fn snapshot_refreshes_at_first_read_instead_of_aborting() {
-        let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
-        // A foreign commit moves Addr(6) past the snapshot's start.
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
-        // First read: too new, but nothing observed yet — refresh, not abort.
-        assert_eq!(tx.read(Addr(6)).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
-        tx.try_commit().unwrap();
-        assert_eq!(th.stats.snapshot().snapshot_refreshes, 1);
-    }
-
-    #[test]
-    fn snapshot_on_aborts_on_too_new_after_first_read() {
-        let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
-        assert_eq!(tx.read(Addr(5)).unwrap(), 0, "pin the snapshot");
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
-        assert!(matches!(
-            tx.read(Addr(6)),
-            Err(TxCtl::Abort(AbortReason::ReadConflict))
-        ));
-        tx.rollback();
-    }
-
-    #[test]
-    fn snapshot_extend_advances_past_disjoint_commits() {
-        let system = TmSystem::new(
-            TmConfig::small()
-                .without_quiescence()
-                .with_snapshot(SnapshotMode::Extend),
-        );
-        system.heap.store(Addr(5), 1);
-        // An address on a different orec stripe than Addr(5).
-        let other = (6..300)
-            .map(Addr)
-            .find(|&a| system.orecs.index_for(a) != system.orecs.index_for(Addr(5)))
-            .unwrap();
-        let mut tx = begin_snapshot(&system);
-        assert_eq!(tx.read(Addr(5)).unwrap(), 1, "pin the snapshot");
-        // A commit to a *different* stripe moves the clock forward.
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(other, 9).unwrap();
-        w.try_commit().unwrap();
-        // The cover (only Addr(5)'s stripe) still holds at the old start, so
-        // the snapshot extends instead of aborting.
-        assert_eq!(tx.read(other).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
-        tx.try_commit().unwrap();
-        let snap = th.stats.snapshot();
-        assert_eq!(snap.snapshot_refreshes, 1);
-        assert_eq!(snap.ro_fast_commits, 1);
-        assert_eq!(snap.read_set_max, 0);
-    }
-
-    #[test]
-    fn snapshot_extend_aborts_when_a_covered_stripe_moves() {
-        let system = TmSystem::new(
-            TmConfig::small()
-                .without_quiescence()
-                .with_snapshot(SnapshotMode::Extend),
-        );
-        let mut tx = begin_snapshot(&system);
-        assert_eq!(tx.read(Addr(5)).unwrap(), 0);
-        // A commit to the *same* address invalidates the cover; the next
-        // too-new read cannot extend.
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(Addr(5), 9).unwrap();
-        w.try_commit().unwrap();
-        assert!(tx.read(Addr(5)).is_err());
-        tx.rollback();
-    }
-
-    #[test]
-    fn snapshot_off_disables_the_fast_path() {
-        let system = TmSystem::new(TmConfig::small().with_snapshot(SnapshotMode::Off));
-        let mut tx = begin_snapshot(&system);
-        assert!(!tx.snapshot);
-        assert_eq!(tx.read(Addr(3)).unwrap(), 0);
-        assert_eq!(tx.reads.len(), 1, "falls back to the tracked read path");
-        let th = Arc::clone(&tx.common.thread);
-        tx.try_commit().unwrap();
-        assert_eq!(th.stats.snapshot().ro_fast_commits, 0);
     }
 }

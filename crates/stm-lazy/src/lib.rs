@@ -10,6 +10,14 @@
 //!   and releases the locks at the commit timestamp.
 //! * Abort merely discards the logs (nothing was written in place).
 //!
+//! This crate owns only what is lazy about it: the write policy
+//! ([`tx::RedoPolicy`]: the redo log with read-your-writes, commit-time
+//! locking, validation and write-back), the [`CommitInterlock`] hook the
+//! hybrid runtime installs around that write-back, and the runtime
+//! ([`runtime::LazyStm`]).  The rest of an attempt is the shared
+//! `tm_core::stm::StmTx`, which [`LazyTx`] instantiates with the redo
+//! policy.
+//!
 //! Condition synchronization reuses the *same* driver loop as the eager
 //! runtime (`tm_core::driver::run`, via the `TxEngine` trait); the only
 //! difference the mechanisms see is how `Await` captures its value snapshot
@@ -22,4 +30,4 @@ pub mod runtime;
 pub mod tx;
 
 pub use runtime::LazyStm;
-pub use tx::{CommitInterlock, LazyTx};
+pub use tx::{CommitInterlock, LazyTx, RedoPolicy};

@@ -11,7 +11,7 @@ use condsync::OrigRegistry;
 use tm_core::driver::{self, CommitOutcome, TxEngine};
 use tm_core::{
     ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult, WaitCondition,
-    WaitSpec, WakeSet,
+    WaitSpec,
 };
 
 use crate::tx::LazyTx;
@@ -62,18 +62,6 @@ impl TxEngine for LazyStm {
         true
     }
 
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.serial {
-            // Serial commits write directly with no metadata at all;
-            // conservatively wake every shard.
-            return WakeSet::All;
-        }
-        // Commit-time lock acquisition covered every redo-log address with
-        // one of these ownership records, so they are a complete stripe
-        // cover of the write set.
-        WakeSet::Stripes(outcome.written_orecs.clone())
-    }
-
     fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut LazyTx) {
         let read_orecs = tx.read_orec_indices();
         let start = tx.start();
@@ -84,15 +72,7 @@ impl TxEngine for LazyStm {
     }
 
     fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        if !self.orig.is_empty() {
-            if outcome.serial {
-                // A serial commit has no lock set to intersect: any
-                // Retry-Orig sleeper's reads may have changed.
-                self.orig.wake_all(thread);
-            } else {
-                self.orig.wake_matching(thread, &outcome.written_orecs);
-            }
-        }
+        self.orig.wake_for_commit(thread, outcome);
     }
 }
 

@@ -1,15 +1,14 @@
-//! The per-attempt transaction descriptor for the lazy (TL2-style) STM.
+//! The lazy (TL2-style) STM's write policy: a redo log, locked, validated
+//! and written back at commit, plus the commit interlock the hybrid runtime
+//! installs.  The rest of the attempt is the shared
+//! [`tm_core::stm::StmTx`].
 
 use std::sync::Arc;
 
-use tm_core::access::{cover_valid_at, IndexSet, ReadSet, WriteEntry, WriteLog};
-use tm_core::driver::CommitOutcome;
-use tm_core::serial::{subscribe_begin, SerialAttempt};
+use tm_core::access::{WriteEntry, WriteLog};
 use tm_core::stats::TxStats;
-use tm_core::{
-    AbortReason, Addr, OrecValue, SnapshotMode, ThreadId, TmSystem, Tx, TxCommon, TxCtl, TxKind,
-    TxMode, TxResult, WaitCondition, WaitSpec,
-};
+use tm_core::stm::{Attempt, StmTx, WritePolicy};
+use tm_core::{AbortReason, Addr, OrecValue, ThreadCtx, ThreadId, TxCtl, TxResult};
 
 /// Hook a hybrid runtime installs around the redo-log write-back so that
 /// software commits and (simulated) hardware commits exclude each other.
@@ -39,263 +38,57 @@ pub trait CommitInterlock: Send + Sync + std::fmt::Debug {
 }
 
 /// An in-flight lazy-STM transaction attempt.
-///
-/// The read set and redo log are pooled access-set containers
-/// (`tm_core::access`): read-after-write lookups are O(1) instead of a
-/// reverse scan over the redo log, the write set's orec cover is kept
-/// sorted incrementally for commit-time lock acquisition, and re-executed
-/// attempts recycle capacity through the thread's `LogPool`.
-#[derive(Debug)]
-pub struct LazyTx {
-    common: TxCommon,
-    system: Arc<TmSystem>,
-    start: u64,
-    /// Validated reads with their orec stripes cached at read time.
-    reads: ReadSet,
-    /// Redo log: pending writes, one entry per address (last value wins).
+pub type LazyTx = StmTx<RedoPolicy>;
+
+/// Buffers writes in a redo log and publishes them at commit.
+#[derive(Debug, Default)]
+pub struct RedoPolicy {
+    /// Pending writes, one entry per address (last value wins), with the
+    /// write set's orec cover kept sorted for commit-time locking.
     redo: WriteLog,
-    mallocs: Vec<(Addr, usize)>,
-    frees: Vec<(Addr, usize)>,
-    /// `Some` when this attempt runs serially behind the system's
-    /// [`tm_core::SerialGate`] ([`TxMode::Serial`]): all accesses go
-    /// straight to the shared serial attempt, the instrumented logs stay
-    /// empty.
-    serial: Option<SerialAttempt>,
     /// Hybrid-runtime hook serialising the commit write-back against
     /// hardware commits; `None` for the plain lazy runtime.
     interlock: Option<Arc<dyn CommitInterlock>>,
-    /// True when this attempt runs on the snapshot read path: a declared
-    /// read-only transaction in plain [`TxMode::Software`] mode with
-    /// [`SnapshotMode`] enabled.  Reads validate against `start` only, no
-    /// read set is kept, writes abort with
-    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.
-    snapshot: bool,
-    /// Whether the snapshot attempt has completed at least one read
-    /// (gates the [`SnapshotMode::On`] first-read refresh).
-    snap_observed: bool,
-    /// The distinct orec stripes read so far, kept only under
-    /// [`SnapshotMode::Extend`] so a too-new version can be survived by
-    /// re-checking that no covered stripe moved past `start`.
-    snap_cover: IndexSet,
 }
 
-impl LazyTx {
-    /// Begins a new attempt (no hybrid interlock).
-    pub fn begin(system: &Arc<TmSystem>, common: TxCommon) -> Self {
-        Self::begin_with(system, common, None)
-    }
+impl WritePolicy for RedoPolicy {
+    type Setup = Option<Arc<dyn CommitInterlock>>;
 
-    /// Begins a new attempt, optionally installing a hybrid-runtime commit
-    /// interlock.  Serial-mode attempts acquire the system's serial gate;
-    /// instrumented attempts publish their start time through the gate's
-    /// subscription protocol so a serial acquirer can quiesce them.
-    pub fn begin_with(
-        system: &Arc<TmSystem>,
-        common: TxCommon,
-        interlock: Option<Arc<dyn CommitInterlock>>,
-    ) -> Self {
-        let (serial, start) = if common.mode == TxMode::Serial {
-            (
-                Some(SerialAttempt::begin(system, &common.thread)),
-                system.clock.now(),
-            )
+    fn begin(thread: &ThreadCtx, interlock: Self::Setup, pooled: bool) -> Self {
+        let redo = if pooled {
+            thread.take_write_log()
         } else {
-            (None, subscribe_begin(system, &common.thread))
+            WriteLog::new()
         };
-        let snapshot = common.kind == TxKind::ReadOnly
-            && common.mode == TxMode::Software
-            && system.config.snapshot.is_enabled();
-        // Snapshot attempts keep no logs at all; skip the pool round trip
-        // (zero-capacity containers are dropped, not pooled, on `put`).
-        let (reads, redo) = if snapshot {
-            (ReadSet::new(), WriteLog::new())
-        } else {
-            (
-                common.thread.take_read_set(),
-                common.thread.take_write_log(),
-            )
-        };
-        let snap_cover = if snapshot && system.config.snapshot == SnapshotMode::Extend {
-            common.thread.take_index_set()
-        } else {
-            IndexSet::new()
-        };
-        LazyTx {
-            common,
-            system: Arc::clone(system),
-            start,
-            reads,
-            redo,
-            mallocs: Vec::new(),
-            frees: Vec::new(),
-            serial,
-            interlock,
-            snapshot,
-            snap_observed: false,
-            snap_cover,
-        }
+        RedoPolicy { redo, interlock }
     }
 
-    /// The clock value sampled at begin.
-    pub fn start(&self) -> u64 {
-        self.start
+    #[inline]
+    fn is_read_only(&self) -> bool {
+        self.redo.is_empty()
     }
 
-    /// Ownership-record indices covering the read set (for `Retry-Orig`),
-    /// sorted and deduplicated — the read set's own stripe cover, not
-    /// recomputed from the address list.
-    pub fn read_orec_indices(&mut self) -> Vec<usize> {
-        self.reads.orec_cover().to_vec()
+    #[inline]
+    fn buffered(&self, addr: Addr) -> Option<u64> {
+        self.redo.lookup(addr)
     }
 
-    fn me(&self) -> usize {
-        self.common.thread.id
+    fn write(&mut self, at: &Attempt, addr: Addr, val: u64) -> TxResult<()> {
+        // One redo entry per address (last value wins); the orec stripe is
+        // hashed once, on the first write.
+        let orecs = &at.system().orecs;
+        self.redo.record(addr, val, || orecs.index_for(addr));
+        Ok(())
     }
 
-    /// Validated read of the *in-memory* value (ignoring the redo log),
-    /// returning the value together with the address's orec stripe so
-    /// callers can cache it instead of hashing again.
-    fn read_memory(&self, addr: Addr) -> TxResult<(u64, usize)> {
-        let idx = self.system.orecs.index_for(addr);
-        let before = self.system.orecs.load(idx);
-        let val = self.system.heap.load(addr);
-        let after = self.system.orecs.load(idx);
-        if before == after && !before.is_locked() {
-            if before.version() <= self.start {
-                return Ok((val, idx));
-            }
-            // Too new: fold the version into the clock so the retry begins
-            // current even before the committer publishes its epoch (lazy
-            // clock plane; no-op under GV1).
-            self.system
-                .clock
-                .note_stale(before.version(), &self.common.thread.stats);
-        }
-        Err(TxCtl::Abort(AbortReason::ReadConflict))
-    }
-
-    /// One snapshot-path read: lock–value–lock against `start` only.  No
-    /// read set, no value logging; a too-new version first tries a snapshot
-    /// refresh ([`LazyTx::try_snapshot_refresh`]) before aborting.
-    fn snapshot_read(&mut self, addr: Addr) -> TxResult<u64> {
-        let idx = self.system.orecs.index_for(addr);
-        loop {
-            let before = self.system.orecs.load(idx);
-            let val = self.system.heap.load(addr);
-            let after = self.system.orecs.load(idx);
-            if before == after && !before.is_locked() {
-                if before.version() <= self.start {
-                    self.snap_observed = true;
-                    if self.system.config.snapshot == SnapshotMode::Extend {
-                        self.snap_cover.insert(idx);
-                    }
-                    return Ok(val);
-                }
-                self.system
-                    .clock
-                    .note_stale(before.version(), &self.common.thread.stats);
-                if self.try_snapshot_refresh() {
-                    continue;
-                }
-            }
-            return Err(TxCtl::Abort(AbortReason::ReadConflict));
-        }
-    }
-
-    /// Attempts to advance the begin snapshot past a too-new version.
-    ///
-    /// Under [`SnapshotMode::On`] this is sound only before the first
-    /// successful read (nothing has been observed, so any snapshot is still
-    /// admissible).  Under [`SnapshotMode::Extend`] the accumulated stripe
-    /// cover is re-checked at the *old* snapshot: if no covered stripe is
-    /// locked or newer than `start`, no covered location changed between the
-    /// old snapshot and now, so every prior read is also valid at the new
-    /// one.  The new start is re-published through the serial-gate
-    /// subscription handshake, exactly like a fresh begin.
-    fn try_snapshot_refresh(&mut self) -> bool {
-        let extendable = match self.system.config.snapshot {
-            SnapshotMode::Extend => true,
-            SnapshotMode::On => !self.snap_observed,
-            SnapshotMode::Off => false,
-        };
-        if !extendable {
-            return false;
-        }
-        self.common.thread.exit_tx();
-        let new_start = subscribe_begin(&self.system, &self.common.thread);
-        // Re-validate *after* the new snapshot is published: anything the
-        // check admits was unchanged up to a point at or after `new_start`.
-        if self.system.config.snapshot == SnapshotMode::Extend
-            && !cover_valid_at(&self.system.orecs, self.snap_cover.as_slice(), self.start)
-        {
-            // A covered stripe moved; the attempt is doomed.  Keep the newly
-            // published start — the caller aborts and the rollback exits.
-            self.start = new_start;
-            return false;
-        }
-        self.start = new_start;
-        TxStats::bump(&self.common.thread.stats.snapshot_refreshes);
-        true
-    }
-
-    fn reset_logs(&mut self) {
-        let stats = &self.common.thread.stats;
-        TxStats::record_max(&stats.read_set_max, self.reads.len() as u64);
-        TxStats::record_max(&stats.write_set_max, self.redo.len() as u64);
-        self.reads.clear();
-        self.redo.clear();
-        self.snap_cover.clear();
-        self.snap_observed = false;
-        self.mallocs.clear();
-        self.frees.clear();
-    }
-
-    /// Discards the attempt (nothing was written in place; serial attempts
-    /// undo their direct writes).  Safe to call more than once.
-    pub fn rollback(&mut self) {
-        if let Some(serial) = &mut self.serial {
-            serial.rollback();
-            return;
-        }
-        for &(addr, words) in &self.mallocs {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
-        }
-        self.reset_logs();
-        self.common.thread.exit_tx();
-    }
-
-    /// Attempts to commit.  On failure the caller must invoke
-    /// [`LazyTx::rollback`].
-    pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
-        if let Some(serial) = &mut self.serial {
-            return Ok(serial.commit());
-        }
-        if self.redo.is_empty() {
-            if self.snapshot {
-                // The snapshot commit did zero read-set pushes and performs
-                // zero commit-time orec loads.
-                TxStats::bump(&self.common.thread.stats.ro_fast_commits);
-            }
-            for &(addr, words) in &self.frees {
-                self.system
-                    .heap
-                    .dealloc_for(&self.common.thread, addr, words);
-            }
-            self.reset_logs();
-            self.common.thread.exit_tx();
-            return Ok(CommitOutcome::read_only());
-        }
-
+    fn commit(&mut self, at: &Attempt) -> Result<(Vec<usize>, u64), TxCtl> {
         // Acquire the ownership records covering the write set.  The cover
         // is the redo log's own sorted distinct-stripe list (borrowed, not
         // copied — the abort path stays allocation-free), so on failure at
         // position `k` the locks we hold are exactly the prefix `cover[..k]`
         // (this attempt holds no locks before commit).
-        let me = self.me();
-        let start = self.start;
-        let system = &self.system;
+        let me = at.me();
+        let system = at.system();
         let interlock = self.interlock.as_ref();
         let (entries, write_orecs) = self.redo.entries_with_cover();
         let release_prefix = |n: usize| {
@@ -304,17 +97,16 @@ impl LazyTx {
                 system.orecs.store(a, OrecValue::unlocked(c.version()));
             }
         };
-        let stats = &self.common.thread.stats;
         for (k, &idx) in write_orecs.iter().enumerate() {
             let cur = system.orecs.load(idx);
             let ok = if cur.is_locked() {
                 cur.is_locked_by(me)
-            } else if cur.version() <= start {
+            } else if cur.version() <= at.start() {
                 system
                     .orecs
                     .cas(idx, cur, OrecValue::locked(cur.version(), me))
             } else {
-                system.clock.note_stale(cur.version(), stats);
+                at.note_stale(cur.version());
                 false
             };
             if !ok {
@@ -326,42 +118,17 @@ impl LazyTx {
         // Stamped after the whole cover is held, which is what makes a
         // non-unique (lazy) stamp sound: any reader that began before this
         // point sees our locks, any later reader sees `end > rv`.
-        let stamp = system.clock.commit_stamp(stats);
+        let stamp = system.clock.commit_stamp(at.stats());
         let end = stamp.ts;
-        // The nothing-committed-since-start fast path needs a *unique*
-        // stamp (GV1): a lazy stamp may be shared with a concurrent
-        // committer.  With a hybrid interlock installed, hardware commits
-        // publish to the orecs under their own clock ticks, so the fast
-        // path is no longer a proof of validity either: validate always.
+        // With a hybrid interlock installed, hardware commits publish to
+        // the orecs under their own clock ticks, so the unique-stamp
+        // shortcut is no longer a proof of validity: validate always.
         // Validation and write-back then run inside the interlock's
         // `commit_section`, mutually exclusive with hardware commits — a
         // hardware commit serialises entirely before (its orec releases fail
         // our validation) or entirely after (it observes our locked orecs /
         // doomed lines) this section.
-        let must_validate = !stamp.unique || end != start + 1 || interlock.is_some();
-        let reads = &self.reads;
-        let mut validate = || -> bool {
-            if must_validate {
-                for e in reads.iter() {
-                    // The stripe index was cached when the read was
-                    // validated, so validation does not hash the address a
-                    // second time.
-                    let o = system.orecs.load(e.stripe);
-                    let ok = if o.is_locked() {
-                        o.is_locked_by(me)
-                    } else if o.version() <= start {
-                        true
-                    } else {
-                        system.clock.note_stale(o.version(), stats);
-                        false
-                    };
-                    if !ok {
-                        return false;
-                    }
-                }
-            }
-            true
-        };
+        let mut validate = || at.reads_valid(stamp, interlock.is_some());
         // Write back the redo log (one entry per address already holding
         // the latest value) and release locks at the commit timestamp.
         let mut writeback = || {
@@ -386,223 +153,28 @@ impl LazyTx {
             release_prefix(write_orecs.len());
             return Err(TxCtl::Abort(AbortReason::CommitValidation));
         }
-
         // Success path only: copy the cover out for the outcome.
-        let write_orecs = write_orecs.to_vec();
-        for &(addr, words) in &self.frees {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
-        }
-        self.reset_logs();
-        // Publish the commit epoch only now that the write-back is visible
-        // and every lock is released; later begins start at or above `end`,
-        // which also bounds the quiescence wait below.
-        self.common.thread.publish_epoch(end);
-        self.common.thread.exit_tx();
-        self.system.quiesce(&self.common.thread, end);
-        Ok(CommitOutcome::software_writer(write_orecs, end))
+        Ok((write_orecs.to_vec(), end))
     }
 
-    /// Rolls back and materialises the wait condition for a deschedule
-    /// request.
-    pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
-        if let Some(serial) = &mut self.serial {
-            return serial.rollback_for_deschedule(spec, &mut self.common);
-        }
-        match spec {
-            WaitSpec::ReadSetValues => {
-                let pairs = self.common.waitset.drain_pairs();
-                self.rollback();
-                Ok(WaitCondition::ValuesChanged(pairs))
-            }
-            WaitSpec::Addrs(addrs) => {
-                // Memory was never modified, so the pre-transaction values
-                // are simply the current contents — but each read must still
-                // be consistent with our start time.
-                let mut pairs = Vec::with_capacity(addrs.len());
-                let mut consistent = true;
-                for addr in addrs {
-                    match self.read_memory(addr) {
-                        Ok((v, _)) => pairs.push((addr, v)),
-                        Err(_) => {
-                            consistent = false;
-                            break;
-                        }
-                    }
-                }
-                self.rollback();
-                if consistent {
-                    Ok(WaitCondition::ValuesChanged(pairs))
-                } else {
-                    Err(TxCtl::Abort(AbortReason::ReadConflict))
-                }
-            }
-            WaitSpec::Pred { f, args } => {
-                self.rollback();
-                Ok(WaitCondition::Pred { f, args })
-            }
-            WaitSpec::OrigReadLocks => {
-                self.rollback();
-                Err(TxCtl::Abort(AbortReason::ReadConflict))
-            }
-        }
+    fn rollback(&mut self, _at: &Attempt) {
+        // Nothing was written in place and no lock outlives a failed commit.
     }
-}
 
-impl Drop for LazyTx {
-    fn drop(&mut self) {
-        // Recycle the attempt's access sets so the next attempt (or the
-        // thread's next transaction) reuses their capacity.
-        let thread = Arc::clone(&self.common.thread);
-        thread.put_read_set(std::mem::take(&mut self.reads));
+    fn clear(&mut self, stats: &TxStats) {
+        TxStats::record_max(&stats.write_set_max, self.redo.len() as u64);
+        self.redo.clear();
+    }
+
+    fn recycle(&mut self, thread: &ThreadCtx) {
         thread.put_write_log(std::mem::take(&mut self.redo));
-        // The Extend-mode stripe cover is an index set, not a read set: it
-        // must not feed the `read_set_max` high-water mark (snapshot commits
-        // keep no read set by construction).
-        thread
-            .pool
-            .put_index_set(std::mem::take(&mut self.snap_cover));
-    }
-}
-
-impl Tx for LazyTx {
-    fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        // Serial attempts read directly: the gate holder runs alone.  Their
-        // reads are never value-logged — a serial `Retry` relogs in
-        // SoftwareRetry mode (see the driver's ReadSetValues dispatch).
-        if let Some(serial) = &self.serial {
-            return Ok(serial.read(addr));
-        }
-        if self.snapshot {
-            return self.snapshot_read(addr);
-        }
-        // Read-your-writes: the redo log takes precedence (O(1) hash-index
-        // lookup; the old implementation scanned the log backwards).
-        if let Some(v) = self.redo.lookup(addr) {
-            if self.common.mode == TxMode::SoftwareRetry {
-                // The Retry value log must hold the value that will be in
-                // memory after the (lazy) transaction is discarded, i.e. the
-                // committed value, not our own pending write.
-                let (mem, _) = self.read_memory(addr)?;
-                self.common.log_retry_read(addr, mem);
-            }
-            return Ok(v);
-        }
-        let (val, idx) = self.read_memory(addr)?;
-        // The stripe computed by the validated read is cached in the entry,
-        // so commit-time re-validation never hashes the address again.
-        self.reads.record(addr, idx);
-        if self.common.mode == TxMode::SoftwareRetry {
-            self.common.log_retry_read(addr, val);
-        }
-        Ok(val)
-    }
-
-    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        if let Some(serial) = &mut self.serial {
-            serial.write(addr, val);
-            return Ok(());
-        }
-        if self.snapshot {
-            // Discovered-read-only speculation failed: the driver upgrades
-            // the transaction to a full update attempt and restarts it.
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        // One redo entry per address (last value wins); the orec stripe is
-        // hashed once, on the first write.
-        let orecs = &self.system.orecs;
-        self.redo.record(addr, val, || orecs.index_for(addr));
-        Ok(())
-    }
-
-    fn read_for_write(&mut self, addr: Addr) -> TxResult<u64> {
-        // Lazy STM has no encounter-time locking; a read-for-write is just a
-        // read (the address still enters the read set, unlike the eager
-        // runtime).
-        self.read(addr)
-    }
-
-    fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        if let Some(serial) = &mut self.serial {
-            return serial
-                .alloc(words)
-                .ok_or(TxCtl::Abort(AbortReason::OutOfMemory));
-        }
-        if self.snapshot {
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        match self.system.heap.alloc_for(&self.common.thread, words) {
-            Some(addr) => {
-                self.mallocs.push((addr, words));
-                Ok(addr)
-            }
-            None => Err(TxCtl::Abort(AbortReason::OutOfMemory)),
-        }
-    }
-
-    fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-        if let Some(serial) = &mut self.serial {
-            serial.free(addr, words);
-            return Ok(());
-        }
-        if self.snapshot {
-            return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
-        }
-        self.frees.push((addr, words));
-        Ok(())
-    }
-
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        if self.serial.is_some() {
-            let outcome = self.try_commit()?;
-            // Same accounting rule as the non-serial branch below — only
-            // writer segments count — plus the serial_commits ⊆ sw_commits
-            // invariant the stats docs establish.
-            if outcome.was_writer {
-                TxStats::bump(&self.common.thread.stats.sw_commits);
-                TxStats::bump(&self.common.thread.stats.serial_commits);
-            }
-            block();
-            // Continue in the same (serial) flavour: re-acquire the gate.
-            self.serial = Some(SerialAttempt::begin(&self.system, &self.common.thread));
-            self.start = self.system.clock.now();
-            return Ok(());
-        }
-        match self.try_commit() {
-            Ok(info) => {
-                if info.was_writer {
-                    TxStats::bump(&self.common.thread.stats.sw_commits);
-                }
-                block();
-                self.start = subscribe_begin(&self.system, &self.common.thread);
-                Ok(())
-            }
-            Err(ctl) => Err(ctl),
-        }
-    }
-
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        TxCtl::Abort(AbortReason::Explicit(code))
-    }
-
-    fn common(&self) -> &TxCommon {
-        &self.common
-    }
-
-    fn common_mut(&mut self) -> &mut TxCommon {
-        &mut self.common
-    }
-
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::TmConfig;
+    use tm_core::{TmConfig, TmSystem, Tx, TxCommon, TxKind, TxMode, WaitCondition, WaitSpec};
 
     fn fresh_tx(system: &Arc<TmSystem>) -> LazyTx {
         let th = system.register_thread();
@@ -770,142 +342,21 @@ mod tests {
         assert_eq!(system.heap.allocated_words(), base);
     }
 
-    fn begin_snapshot(system: &Arc<TmSystem>) -> LazyTx {
+    #[test]
+    fn snapshot_read_for_write_is_a_read() {
+        // Lazy STM has no encounter-time locks: a read-for-write is a plain
+        // read, still legal on the snapshot path (the upgrade happens at
+        // the first actual write).
+        let system = TmSystem::new(TmConfig::small());
+        system.heap.store(Addr(1), 4);
         let th = system.register_thread();
-        LazyTx::begin(
-            system,
-            TxCommon::new(th, TxMode::Software, 0).with_kind(TxKind::ReadOnly),
-        )
-    }
-
-    #[test]
-    fn snapshot_read_keeps_no_read_set_and_commits_free() {
-        let system = TmSystem::new(TmConfig::small());
-        system.heap.store(Addr(3), 7);
-        system.heap.store(Addr(4), 8);
-        let mut tx = begin_snapshot(&system);
-        assert!(tx.snapshot, "small config enables snapshots");
-        assert_eq!(tx.read(Addr(3)).unwrap(), 7);
-        assert_eq!(tx.read(Addr(4)).unwrap(), 8);
-        assert!(tx.reads.is_empty(), "snapshot reads record nothing");
-        let th = Arc::clone(&tx.common.thread);
-        let info = tx.try_commit().unwrap();
-        assert!(!info.was_writer);
-        drop(tx);
-        let snap = th.stats.snapshot();
-        assert_eq!(snap.ro_fast_commits, 1);
-        assert_eq!(snap.read_set_max, 0, "no read set ever pooled back");
-    }
-
-    #[test]
-    fn snapshot_write_aborts_with_read_only_write() {
-        let system = TmSystem::new(TmConfig::small());
-        let mut tx = begin_snapshot(&system);
-        assert!(matches!(
-            tx.write(Addr(1), 9),
-            Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
-        ));
-        // Lazy read-for-write is just a read — still legal on the snapshot
-        // path (the upgrade happens at the first actual write).
-        assert_eq!(tx.read_for_write(Addr(1)).unwrap(), 0);
-        assert!(matches!(
-            tx.alloc(4),
-            Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
-        ));
-        assert!(matches!(
-            tx.free(Addr(1), 1),
-            Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
-        ));
-        tx.rollback();
-    }
-
-    #[test]
-    fn snapshot_refreshes_at_first_read_instead_of_aborting() {
-        let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
-        // A foreign commit moves Addr(6) past the snapshot's start.
-        let mut w = fresh_tx(&system);
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
-        // First read: too new, but nothing observed yet — refresh, not abort.
-        assert_eq!(tx.read(Addr(6)).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
-        tx.try_commit().unwrap();
-        assert_eq!(th.stats.snapshot().snapshot_refreshes, 1);
-    }
-
-    #[test]
-    fn snapshot_on_aborts_on_too_new_after_first_read() {
-        let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
-        assert_eq!(tx.read(Addr(5)).unwrap(), 0, "pin the snapshot");
-        let mut w = fresh_tx(&system);
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
-        assert!(matches!(
-            tx.read(Addr(6)),
-            Err(TxCtl::Abort(AbortReason::ReadConflict))
-        ));
-        tx.rollback();
-    }
-
-    #[test]
-    fn snapshot_extend_advances_past_disjoint_commits() {
-        let system = TmSystem::new(
-            TmConfig::small()
-                .without_quiescence()
-                .with_snapshot(SnapshotMode::Extend),
+        let mut tx = LazyTx::begin(
+            &system,
+            TxCommon::new(Arc::clone(&th), TxMode::Software, 0).with_kind(TxKind::ReadOnly),
         );
-        system.heap.store(Addr(5), 1);
-        // An address on a different orec stripe than Addr(5).
-        let other = (6..300)
-            .map(Addr)
-            .find(|&a| system.orecs.index_for(a) != system.orecs.index_for(Addr(5)))
-            .unwrap();
-        let mut tx = begin_snapshot(&system);
-        assert_eq!(tx.read(Addr(5)).unwrap(), 1, "pin the snapshot");
-        // A commit to a *different* stripe moves the clock forward.
-        let mut w = fresh_tx(&system);
-        w.write(other, 9).unwrap();
-        w.try_commit().unwrap();
-        // The cover (only Addr(5)'s stripe) still holds at the old start, so
-        // the snapshot extends instead of aborting.
-        assert_eq!(tx.read(other).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
+        assert_eq!(tx.read_for_write(Addr(1)).unwrap(), 4);
+        assert!(tx.read_orec_indices().is_empty(), "still a snapshot read");
         tx.try_commit().unwrap();
-        let snap = th.stats.snapshot();
-        assert_eq!(snap.snapshot_refreshes, 1);
-        assert_eq!(snap.ro_fast_commits, 1);
-        assert_eq!(snap.read_set_max, 0);
-    }
-
-    #[test]
-    fn snapshot_extend_aborts_when_a_covered_stripe_moves() {
-        let system = TmSystem::new(
-            TmConfig::small()
-                .without_quiescence()
-                .with_snapshot(SnapshotMode::Extend),
-        );
-        let mut tx = begin_snapshot(&system);
-        assert_eq!(tx.read(Addr(5)).unwrap(), 0);
-        // A commit to the *same* address invalidates the cover; the next
-        // too-new read cannot extend.
-        let mut w = fresh_tx(&system);
-        w.write(Addr(5), 9).unwrap();
-        w.try_commit().unwrap();
-        assert!(tx.read(Addr(5)).is_err());
-        tx.rollback();
-    }
-
-    #[test]
-    fn snapshot_off_disables_the_fast_path() {
-        let system = TmSystem::new(TmConfig::small().with_snapshot(SnapshotMode::Off));
-        let mut tx = begin_snapshot(&system);
-        assert!(!tx.snapshot);
-        assert_eq!(tx.read(Addr(3)).unwrap(), 0);
-        assert_eq!(tx.reads.len(), 1, "falls back to the tracked read path");
-        let th = Arc::clone(&tx.common.thread);
-        tx.try_commit().unwrap();
-        assert_eq!(th.stats.snapshot().ro_fast_commits, 0);
+        assert_eq!(th.stats.snapshot().ro_fast_commits, 1);
     }
 }

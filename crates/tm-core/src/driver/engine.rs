@@ -31,13 +31,15 @@ pub struct CommitOutcome {
     pub hardware: bool,
     /// True if the attempt committed while holding the system's
     /// [`crate::serial::SerialGate`].  Serial commits carry no write-set
-    /// metadata, so engines answer [`TxEngine::committed_stripes`] with the
-    /// conservative scan-everything set for them.
+    /// metadata, so [`CommitOutcome::wake_set`] is the conservative
+    /// scan-everything set for them.
     pub serial: bool,
     /// Ownership-record stripe indices covering the commit's write set: the
     /// lock set for software commits, the stripes of the written cache lines
     /// (a superset of the written words' stripes) for hardware commits.
-    /// Empty for read-only and serial commits.
+    /// Empty for read-only and serial commits.  Every non-serial writer
+    /// commit must report a complete cover: the wake path scans only these
+    /// stripes, so a missed one loses wakeups.
     pub written_orecs: Vec<usize>,
     /// The commit timestamp (global-clock value); 0 when no clock was
     /// ticked (read-only and hardware commits).
@@ -84,6 +86,17 @@ impl CommitOutcome {
             serial: true,
             written_orecs: Vec::new(),
             commit_time: 0,
+        }
+    }
+
+    /// The waiter-registry shards this writer commit must scan: every
+    /// shard after a serial commit, whose write set is unknown, otherwise
+    /// the shards of the reported write-set stripes.
+    pub fn wake_set(&self) -> WakeSet {
+        if self.serial {
+            WakeSet::All
+        } else {
+            WakeSet::Stripes(self.written_orecs.clone())
         }
     }
 }
@@ -178,22 +191,6 @@ pub trait TxEngine: TmRuntime + Sized {
     fn escalated_mode(&self, current: TxMode) -> TxMode {
         let _ = current;
         TxMode::Serial
-    }
-
-    /// The waiter-registry shards a committed writer must scan: the stripes
-    /// its commit may have changed, or [`WakeSet::All`] when the write set
-    /// is unknown.
-    ///
-    /// The default is the conservative scan-everything answer, which is
-    /// always correct; engines that know their write set (the software STMs
-    /// via their lock sets, hardware commits via their written cache lines)
-    /// override this so `wakeWaiters` only evaluates sleepers whose
-    /// conditions could actually have been established.  An override must
-    /// never under-report: returning a stripe set that misses a written
-    /// address loses wakeups.
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        let _ = outcome;
-        WakeSet::All
     }
 
     /// Post-commit hook for writer transactions, running after the generic

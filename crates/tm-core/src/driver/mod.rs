@@ -17,9 +17,9 @@
 //! This module owns that orchestration:
 //!
 //! * [`TxEngine`] — the narrow per-runtime interface (begin / commit /
-//!   rollback / materialise_wait plus a few mode-policy hooks, including
-//!   [`TxEngine::committed_stripes`], which tells the wake path which
-//!   waiter-registry shards a commit must scan),
+//!   rollback / materialise_wait plus a few mode-policy hooks), and
+//!   [`CommitOutcome`], whose [`CommitOutcome::wake_set`] tells the wake
+//!   path which waiter-registry shards a commit must scan,
 //! * [`run`] — the single generic driver loop,
 //! * [`deschedule`] / [`deschedule_until`] / [`wake_waiters_matching`] — the
 //!   paper's parking and waking protocol (unbounded and deadline-bounded),

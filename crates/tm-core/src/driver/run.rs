@@ -151,8 +151,7 @@ where
                         // check is covered by its own double-check, which
                         // runs after our (completed) commit.
                         if !engine.system().waiters.is_empty() {
-                            let wake_set = engine.committed_stripes(&outcome);
-                            wake::wake_waiters_matching(engine, thread, &wake_set);
+                            wake::wake_waiters_matching(engine, thread, &outcome.wake_set());
                         }
                         engine.after_writer_commit(thread, &outcome);
                     }

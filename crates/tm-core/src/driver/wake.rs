@@ -17,7 +17,7 @@
 //!    re-executes the original transaction from its checkpoint.
 //!
 //! Writers call [`wake_waiters_matching`] strictly *after* committing, with
-//! the stripes their commit wrote ([`TxEngine::committed_stripes`]): only the
+//! the stripes their commit wrote ([`CommitOutcome::wake_set`]): only the
 //! shards covering those stripes — plus the unindexed shard — are scanned,
 //! so a commit's wake work scales with the sleepers that could actually be
 //! affected, not with every sleeper in the system.  The decision to wake is
@@ -30,7 +30,7 @@
 //! ([`super::run`]) is its only legitimate caller on the hot path; the
 //! `condsync` crate re-exports the entry points as part of its public API.
 //!
-//! [`TxEngine::committed_stripes`]: super::TxEngine::committed_stripes
+//! [`CommitOutcome::wake_set`]: super::CommitOutcome::wake_set
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -20,8 +20,8 @@
 //!   Hw→Sw→Serial mode ladder, the serial-gate drain and the orec-coupled
 //!   write-back interlock are drivable on demand instead of by luck.
 //!
-//! A real Intel RTM / Arm TME backend slots in behind the same trait; see the
-//! cfg-gated `htm_sim::rtm` stub module for where.
+//! A real Intel RTM / Arm TME backend slots in behind the same trait: one
+//! more [`HwTm`] implementation, installed with [`htm_sim::HtmSim::with_plane`].
 //!
 //! [`htm_sim::HtmSim`]: ../../htm_sim/struct.HtmSim.html
 //! [`htm_sim::HtmSim::with_plane`]: ../../htm_sim/struct.HtmSim.html#method.with_plane

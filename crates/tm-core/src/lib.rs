@@ -24,6 +24,10 @@
 //! * the shared access-set layer ([`access`]): hash-indexed read sets,
 //!   write logs and index sets with a per-thread recycling pool, backing
 //!   every runtime's transaction logs,
+//! * the software-STM attempt ([`stm`]): everything the eager and lazy STMs
+//!   share — begin, reads, snapshot reads, read-set validation, the
+//!   read-only commit, allocation, rollback and deschedule capture — generic
+//!   over the [`stm::WritePolicy`] that is the only part they differ in,
 //! * the mode-control plane: the system-wide serial/irrevocable gate and
 //!   shared serial attempt ([`serial`]) plus the pluggable contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
@@ -68,6 +72,7 @@ pub mod runtime;
 pub mod sem;
 pub mod serial;
 pub mod stats;
+pub mod stm;
 pub mod system;
 pub mod thread;
 pub mod timer;

@@ -346,9 +346,8 @@ stats_fields! {
     /// Declared read-only transactions upgraded to full update transactions
     /// (the body wrote, allocated, or descheduled).
     ro_upgrades,
-    /// Snapshot reads that survived a too-new version by re-sampling the
-    /// begin snapshot (at the first read, or after an `Extend`-mode cover
-    /// re-check) instead of aborting.
+    /// Snapshot reads that survived a too-new version at the attempt's
+    /// first read by re-sampling the begin snapshot instead of aborting.
     snapshot_refreshes,
     /// Transactional allocations served mutex-free from the thread's own
     /// arena bins (no global allocator lock taken).

@@ -9,7 +9,7 @@ use stm_lazy::{CommitInterlock, LazyTx};
 use tm_core::driver::{self, CommitOutcome, TxEngine};
 use tm_core::{
     Addr, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
-    TxResult, WaitCondition, WaitSpec, WakeSet,
+    TxResult, WaitCondition, WaitSpec,
 };
 
 /// The software-commit interlock this runtime installs into its lazy path:
@@ -283,29 +283,8 @@ impl TxEngine for HybridTm {
         }
     }
 
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.serial {
-            // Serial commits carry no metadata; scan every shard.
-            WakeSet::All
-        } else {
-            // Software commits report their lock set; hardware commits the
-            // stripe cover of their written lines (a superset).  Both are
-            // complete covers, so targeting cannot lose a wakeup.
-            WakeSet::Stripes(outcome.written_orecs.clone())
-        }
-    }
-
     fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        if !self.orig.is_empty() {
-            if outcome.serial {
-                self.orig.wake_all(thread);
-            } else {
-                // Software commits intersect with their lock set; hardware
-                // commits with their written-line stripe cover, a superset
-                // of the written words' stripes — conservative, never lossy.
-                self.orig.wake_matching(thread, &outcome.written_orecs);
-            }
-        }
+        self.orig.wake_for_commit(thread, outcome);
     }
 }
 
