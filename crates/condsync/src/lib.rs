@@ -20,7 +20,9 @@
 //! plus the baselines the evaluation compares against:
 //!
 //! * [`restart`] — abort and immediately re-execute (no sleeping),
-//! * [`orig`] — the original lock-metadata-based `Retry` (Algorithm 1),
+//! * [`retry_orig`] — the original lock-metadata-based `Retry`
+//!   (Algorithm 1), whose waiting list lives in [`orig`] (`tm_core::orig`),
+//!   one per system,
 //! * [`condvar::TmCondVar`] — transaction-safe condition variables, which
 //!   commit the in-flight transaction at the wait point (breaking atomicity).
 //!
@@ -44,7 +46,7 @@
 //! | `ReadSetValues` (`Retry`) | value log `(addr, val)` pairs | shard of every logged address's stripe |
 //! | `Addrs` (`Await`) | captured `(addr, val)` pairs | shard of every awaited address's stripe |
 //! | `Pred` (`WaitPred`) | predicate + marshalled args | the *unindexed* shard (no addresses to index; scanned by every writer) |
-//! | `OrigReadLocks` (`Retry-Orig`) | — | not in this registry at all: it uses the separate [`OrigRegistry`] keyed by read-lock indices |
+//! | `OrigReadLocks` (`Retry-Orig`) | — | not in this registry at all: the driver puts it on the system's separate [`OrigRegistry`] (`tm_core::orig`, the `orig` field of `TmSystem`), keyed by read-lock indices |
 //!
 //! Both functions are invoked exclusively by the unified driver loop in
 //! `tm_core::driver` (where their implementation lives — the dependency
@@ -58,8 +60,9 @@
 pub mod condvar;
 pub mod deschedule;
 pub mod mechanism;
-pub mod orig;
 pub mod timed;
+
+pub use tm_core::orig;
 
 pub use condvar::{TmCondVar, WATCHDOG_INTERVAL};
 pub use deschedule::{
@@ -67,8 +70,8 @@ pub use deschedule::{
     WakeReason,
 };
 pub use mechanism::{await_addrs, await_one, restart, retry, retry_orig, wait_pred, Mechanism};
-pub use orig::{sleep_until_intersection, OrigRegistry, OrigWaiter};
 pub use timed::{
     await_for, await_one_for, cancel, cancel_thread, clear_wake_reason, retry_for, timed_out,
     wait_interrupted, wait_pred_for, wake_reason, was_cancelled,
 };
+pub use tm_core::orig::{sleep_until_intersection, OrigRegistry, OrigWaiter};

@@ -9,13 +9,10 @@
 
 use std::sync::Arc;
 
-use tm_core::driver::{self, CommitOutcome, TxEngine};
+use tm_core::driver::{CommitOutcome, TxEngine};
 use tm_core::hwtm::{FaultPlane, HwTm};
 use tm_core::lock::{Mutex, MutexGuard};
-use tm_core::{
-    ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode, TxResult,
-    WaitCondition, WaitSpec,
-};
+use tm_core::{ThreadCtx, ThreadId, TmSystem, TxCommon, TxCtl, TxMode, WaitCondition, WaitSpec};
 
 use crate::lines::LineTable;
 use crate::plane::SimPlane;
@@ -136,11 +133,6 @@ impl HtmSim {
             .lines()
     }
 
-    /// The shared system.
-    pub fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
     /// True when hardware commits publish to the ownership records
     /// (hybrid-runtime coupling; see [`HtmSim::new_coupled`]).
     #[inline]
@@ -200,6 +192,14 @@ impl HtmSim {
 impl TxEngine for HtmSim {
     type Tx<'eng> = HtmTx<'eng>;
 
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
+
+    fn name(&self) -> &'static str {
+        "htm"
+    }
+
     fn begin(&self, common: TxCommon) -> HtmTx<'_> {
         HtmTx::begin(self, common)
     }
@@ -237,55 +237,10 @@ impl TxEngine for HtmSim {
     }
 }
 
-impl TmRuntime for HtmSim {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        "htm"
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl TmRt for HtmSim {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        // No software snapshot rung exists here (the fallback is the serial
-        // lock), but declared-read-only hardware commits still count as
-        // `ro_fast_commits` in the driver.
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, HtmConfig, TmConfig, TmVar};
+    use tm_core::{Addr, HtmConfig, TmConfig, TmRt, TmVar, Tx, TxResult};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HtmSim>) {
         let system = TmSystem::new(TmConfig::small());

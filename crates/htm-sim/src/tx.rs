@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use tm_core::access::{IndexSet, WriteLog};
-use tm_core::driver::CommitOutcome;
+use tm_core::driver::{CommitOutcome, TxEngine};
 use tm_core::hwtm::HwAbort;
 use tm_core::stats::TxStats;
 use tm_core::{

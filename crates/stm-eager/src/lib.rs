@@ -15,26 +15,25 @@
 //!
 //! This crate owns only what is eager about it: the write policy
 //! ([`tx::UndoPolicy`]: encounter-time locking, the undo log, the lock-set
-//! commit and the undo-and-unlock rollback) and the runtime
-//! ([`runtime::EagerStm`]).  The rest of an attempt — reads, snapshot
-//! reads, read-set validation, the read-only commit, allocation, the
-//! deschedule rollback and `commit_and_reopen` — is the shared
-//! `tm_core::stm::StmTx`, which [`EagerTx`] instantiates with the undo
-//! policy.  `Await` still captures its value snapshot while this runtime's
-//! locks are held: the policy restores memory from the undo log first.
+//! commit and the undo-and-unlock rollback).  The runtime ([`EagerStm`])
+//! and the rest of an attempt ([`EagerTx`]) — reads, snapshot reads,
+//! read-set validation, the read-only commit, allocation, the deschedule
+//! rollback and `commit_and_reopen` — are the shared `tm_core::stm::Stm`
+//! and `tm_core::stm::StmTx`, instantiated with the undo policy.  `Await`
+//! still captures its value snapshot while this runtime's locks are held:
+//! the policy restores memory from the undo log first.
 //!
 //! Condition synchronization is layered on via the *shared* driver loop in
-//! `tm_core::driver`: [`runtime::EagerStm`] implements the narrow
-//! `TxEngine` interface (begin / commit / rollback / materialise-wait plus
-//! the `Retry-Orig` hooks), and the loop owns re-execution, the deschedule
-//! hand-off to [`condsync::deschedule()`], and the post-commit
-//! [`condsync::wake_waiters`] scan.
+//! `tm_core::driver`, which owns re-execution, the deschedule hand-off to
+//! [`condsync::deschedule()`], the post-commit [`condsync::wake_waiters`]
+//! scan and the `Retry-Orig` waiting list.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod runtime;
 pub mod tx;
 
-pub use runtime::EagerStm;
 pub use tx::{EagerTx, UndoPolicy};
+
+/// The eager (undo-log) software TM runtime.
+pub type EagerStm = tm_core::stm::Stm<UndoPolicy>;

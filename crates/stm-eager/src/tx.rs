@@ -48,6 +48,8 @@ impl UndoPolicy {
 }
 
 impl WritePolicy for UndoPolicy {
+    const NAME: &'static str = "eager-stm";
+
     type Setup = ();
 
     fn begin(thread: &ThreadCtx, _setup: (), pooled: bool) -> Self {

@@ -12,11 +12,11 @@
 //!
 //! This crate owns only what is lazy about it: the write policy
 //! ([`tx::RedoPolicy`]: the redo log with read-your-writes, commit-time
-//! locking, validation and write-back), the [`CommitInterlock`] hook the
-//! hybrid runtime installs around that write-back, and the runtime
-//! ([`runtime::LazyStm`]).  The rest of an attempt is the shared
-//! `tm_core::stm::StmTx`, which [`LazyTx`] instantiates with the redo
-//! policy.
+//! locking, validation and write-back) and the [`CommitInterlock`] hook the
+//! hybrid runtime installs around that write-back.  The runtime
+//! ([`LazyStm`]) and the rest of an attempt ([`LazyTx`]) are the shared
+//! `tm_core::stm::Stm` and `tm_core::stm::StmTx`, instantiated with the
+//! redo policy.
 //!
 //! Condition synchronization reuses the *same* driver loop as the eager
 //! runtime (`tm_core::driver::run`, via the `TxEngine` trait); the only
@@ -26,8 +26,9 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod runtime;
 pub mod tx;
 
-pub use runtime::LazyStm;
 pub use tx::{CommitInterlock, LazyTx, RedoPolicy};
+
+/// The lazy (redo-log) software TM runtime.
+pub type LazyStm = tm_core::stm::Stm<RedoPolicy>;

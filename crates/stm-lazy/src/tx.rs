@@ -52,6 +52,8 @@ pub struct RedoPolicy {
 }
 
 impl WritePolicy for RedoPolicy {
+    const NAME: &'static str = "lazy-stm";
+
     type Setup = Option<Arc<dyn CommitInterlock>>;
 
     fn begin(thread: &ThreadCtx, interlock: Self::Setup, pooled: bool) -> Self {

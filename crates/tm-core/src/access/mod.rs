@@ -2,7 +2,7 @@
 //!
 //! The paper's Appendix A algorithms treat each transaction's read set,
 //! write log and lock set as abstract sets; this module is their one
-//! concrete implementation, shared by all three runtimes:
+//! concrete implementation, shared by all four runtimes:
 //!
 //! * [`ReadSet`] — deduplicating append with cached orec stripes and a
 //!   distinct-stripe cover accumulated in O(1) per read and sorted at most

@@ -1,18 +1,19 @@
 //! The [`TxEngine`] trait: the narrow interface a transaction runtime must
 //! implement to plug into the shared driver loop ([`super::run`]).
 //!
-//! A runtime supplies begin/commit/rollback plus the one
-//! condition-synchronization hook that genuinely differs between designs —
-//! how a wait condition is materialised during rollback — and inherits the
-//! whole retry/abort/deschedule state machine.  The hooks with defaults
-//! encode the software-STM behaviour; the HTM simulator overrides them to
-//! express its speculative/serial mode ladder.
+//! A runtime supplies begin/commit/rollback plus the two
+//! condition-synchronization hooks that genuinely differ between designs —
+//! how a wait condition is materialised during rollback, and whether an
+//! attempt has the lock metadata `Retry-Orig` publishes — and inherits the
+//! whole retry/abort/deschedule state machine along with the public
+//! [`crate::TmRuntime`] / [`crate::TmRt`] entry points.  The mode-policy
+//! hooks' defaults encode the software-STM behaviour; the HTM simulator and
+//! the hybrid runtime override them to express their mode ladders.
 
 use std::sync::Arc;
 
 use crate::ctl::{TxCtl, WaitCondition, WaitSpec};
-use crate::runtime::TmRuntime;
-use crate::thread::ThreadCtx;
+use crate::system::TmSystem;
 use crate::tx::{Tx, TxCommon, TxMode};
 use crate::waitlist::WakeSet;
 
@@ -106,15 +107,23 @@ impl CommitOutcome {
 ///
 /// Implementations are thin: they construct attempts and expose the
 /// per-design commit/rollback/materialise primitives.  Everything that used
-/// to be copied between the three runtime crates — re-execution, abort-reason
-/// dispatch, `Retry` value-log restarts, the deschedule hand-off and
-/// post-commit `wakeWaiters` — lives in [`super::run`] instead.
-pub trait TxEngine: TmRuntime + Sized {
+/// to be copied between the four runtimes — re-execution, abort-reason
+/// dispatch, `Retry` value-log restarts, the deschedule hand-off,
+/// post-commit `wakeWaiters`, the `Retry-Orig` waiting list and the
+/// [`crate::TmRuntime`] / [`crate::TmRt`] entry points — is written once in
+/// this crate instead.
+pub trait TxEngine: Send + Sync + Sized {
     /// The attempt descriptor; may borrow the engine (as the HTM simulator's
     /// does).
     type Tx<'eng>: Tx
     where
         Self: 'eng;
+
+    /// The system this engine executes against.
+    fn system(&self) -> &Arc<TmSystem>;
+
+    /// Short name used in benchmark output (see [`crate::TmRuntime::name`]).
+    fn name(&self) -> &'static str;
 
     /// Begins a fresh attempt with the given per-attempt metadata.
     fn begin(&self, common: TxCommon) -> Self::Tx<'_>;
@@ -148,20 +157,16 @@ pub trait TxEngine: TmRuntime + Sized {
         false
     }
 
-    /// Whether this engine supports the lock-metadata `Retry-Orig` baseline
-    /// (requires STM ownership records; the HTM simulator does not).
-    fn supports_orig_retry(&self) -> bool {
-        false
-    }
-
-    /// The full `Retry-Orig` deschedule path (Algorithm 1): roll `tx` back,
-    /// then atomically validate the read set against the waiting list and
-    /// sleep if registration succeeded.
+    /// The lock metadata the `Retry-Orig` baseline (Algorithm 1) publishes
+    /// for `tx`: the ownership-record stripes covering its read set, sorted
+    /// and deduplicated, and the clock value it began at.
     ///
-    /// Only called when [`TxEngine::supports_orig_retry`] returns true.
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut Self::Tx<'_>) {
-        let _ = (thread, tx);
-        unreachable!("deschedule_orig called on an engine without Retry-Orig support");
+    /// `None` when the attempt has no such metadata — hardware and serial
+    /// attempts, and software attempts on the snapshot read path, which
+    /// keep no read set.  The driver then falls back to value-based `Retry`.
+    fn read_cover(&self, tx: &mut Self::Tx<'_>) -> Option<(Vec<usize>, u64)> {
+        let _ = tx;
+        None
     }
 
     /// The mode to re-execute in after returning from a deschedule (whether
@@ -191,12 +196,5 @@ pub trait TxEngine: TmRuntime + Sized {
     fn escalated_mode(&self, current: TxMode) -> TxMode {
         let _ = current;
         TxMode::Serial
-    }
-
-    /// Post-commit hook for writer transactions, running after the generic
-    /// `wakeWaiters` scan.  The software STMs use it to wake `Retry-Orig`
-    /// sleepers whose read locks intersect the commit's write set.
-    fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        let _ = (thread, outcome);
     }
 }

@@ -12,20 +12,22 @@
 //!   backoff ◀─ Abort            Deschedule(spec)            SwitchToSoftware
 //!                │                      │                         │
 //!                │     hardware attempt │ software attempt        ▼
-//!                │      relog / serial  │ relog → orig → sleep   mode ladder
+//!                │      relog / serial  │ orig | relog → sleep   mode ladder
 //!                └──────────────────────┴─────────────────────────┘
 //! ```
 //!
-//! The deschedule hand-off ([`super::deschedule`]) and the post-commit
-//! [`super::wake_waiters`] scan are called from here and *only* here, so a
-//! future runtime (e.g. a hybrid HTM/STM path) picks up the paper's whole
-//! condition-synchronization protocol by implementing the engine trait.
+//! The deschedule hand-off ([`super::deschedule`]), the `Retry-Orig` sleep
+//! ([`crate::orig::sleep_until_intersection`]) and the post-commit wake-ups
+//! of both waiting lists are called from here and *only* here, so every
+//! runtime picks up the paper's whole condition-synchronization protocol by
+//! implementing the engine trait.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::backoff::Backoff;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitSpec};
+use crate::orig;
 use crate::policy::{CmEvent, CmHistory};
 use crate::stats::TxStats;
 use crate::thread::ThreadCtx;
@@ -141,19 +143,20 @@ where
                     if outcome.was_writer {
                         // Post-commit wake-ups: the paper's value-based
                         // mechanism, targeted at the shards covering the
-                        // commit's write-set stripes, then any engine-
-                        // specific extras (the Retry-Orig lock-set
-                        // intersection on the STMs).  The empty-registry
-                        // check comes first so the common no-sleeper case
-                        // pays one atomic load — building the wake set
-                        // clones the commit's stripe list, which would be
-                        // wasted work.  A waiter registering after this
-                        // check is covered by its own double-check, which
-                        // runs after our (completed) commit.
-                        if !engine.system().waiters.is_empty() {
+                        // commit's write-set stripes, then the Retry-Orig
+                        // sleepers whose read locks intersect them.  Both
+                        // lists check for emptiness first, so the common
+                        // no-sleeper case pays one atomic load each —
+                        // building the wake set clones the commit's stripe
+                        // list, which would be wasted work.  A waiter
+                        // registering after this check is covered by its
+                        // own double-check, which runs after our
+                        // (completed) commit.
+                        let system = engine.system();
+                        if !system.waiters.is_empty() {
                             wake::wake_waiters_matching(engine, thread, &outcome.wake_set());
                         }
-                        engine.after_writer_commit(thread, &outcome);
+                        system.orig.wake_for_commit(thread, &outcome);
                     }
                     return value;
                 }
@@ -164,6 +167,28 @@ where
 
         attempts += 1;
         let hardware_attempt = engine.attempt_is_hardware(&tx);
+        let ctl = match ctl {
+            // Retry-Orig (Algorithm 1): an attempt with lock metadata
+            // publishes its read-lock cover on the system's waiting list and
+            // sleeps until a writer commit intersects it.  Attempts without
+            // any — hardware and serial attempts, and snapshot attempts,
+            // which keep no read set — approximate it with value-based
+            // Retry: relog, then deschedule on the value log.
+            TxCtl::Deschedule(WaitSpec::OrigReadLocks) => match engine.read_cover(&mut tx) {
+                Some((read_orecs, start)) => {
+                    engine.rollback(&mut tx);
+                    drop(tx);
+                    orig::sleep_until_intersection(engine.system(), thread, read_orecs, start);
+                    // The Retry-Orig baseline has no deadline support; its
+                    // sleeps always end as plain wake-ups.
+                    pending_wake = Some(WakeReason::Woken);
+                    switch_mode(&mut mode, TxMode::Software, thread);
+                    continue;
+                }
+                None => TxCtl::Deschedule(WaitSpec::ReadSetValues),
+            },
+            ctl => ctl,
+        };
         match ctl {
             TxCtl::Abort(reason) => {
                 engine.rollback(&mut tx);
@@ -228,7 +253,7 @@ where
                 drop(tx);
                 TxStats::bump(&thread.stats.hw_aborts);
                 let next = match spec {
-                    WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
+                    WaitSpec::ReadSetValues => {
                         TxStats::bump(&thread.stats.retry_relogs);
                         TxMode::SoftwareRetry
                     }
@@ -241,35 +266,6 @@ where
                 // value-logging mode (Algorithm 5, lines 2–5).  This also
                 // covers the first attempt after waking up, and serial
                 // attempts (whose direct reads are never value-logged).
-                engine.rollback(&mut tx);
-                drop(tx);
-                TxStats::bump(&thread.stats.retry_relogs);
-                switch_mode(&mut mode, TxMode::SoftwareRetry, thread);
-            }
-            TxCtl::Deschedule(WaitSpec::OrigReadLocks)
-                if engine.supports_orig_retry()
-                    && mode != TxMode::Serial
-                    && !(kind == TxKind::ReadOnly
-                        && mode == TxMode::Software
-                        && engine.system().config.snapshot.is_enabled()) =>
-            {
-                // Snapshot attempts keep no read-orec cover, so a read-only
-                // transaction must not reach `deschedule_orig` from `Software`
-                // mode (it would publish an empty cover and sleep forever);
-                // the guard above routes it through the relog arm below and
-                // the logged re-execution lands here with a real cover.
-                engine.deschedule_orig(thread, &mut tx);
-                drop(tx);
-                // The Retry-Orig baseline has no deadline support; its
-                // sleeps always end as plain wake-ups.
-                pending_wake = Some(WakeReason::Woken);
-                switch_mode(&mut mode, TxMode::Software, thread);
-            }
-            TxCtl::Deschedule(WaitSpec::OrigReadLocks) if mode != TxMode::SoftwareRetry => {
-                // Engines without lock metadata — and serial attempts,
-                // which hold no read locks to publish — approximate
-                // Retry-Orig with the value-based mechanism: relog, then
-                // deschedule below.
                 engine.rollback(&mut tx);
                 drop(tx);
                 TxStats::bump(&thread.stats.retry_relogs);

@@ -1,15 +1,17 @@
 //! Shared substrate for the transactional-memory condition-synchronization
 //! reproduction.
 //!
-//! This crate contains everything the three transaction runtimes
-//! ([`stm-eager`], [`stm-lazy`], [`htm-sim`]) and the condition-synchronization
-//! layer ([`condsync`]) have in common:
+//! This crate contains everything the four transaction runtimes
+//! ([`stm-eager`], [`stm-lazy`], [`htm-sim`], [`tm-hybrid`]) and the
+//! condition-synchronization layer ([`condsync`]) have in common:
 //!
 //! * the unified transaction driver ([`driver`]): the single loop that runs
 //!   every runtime's transactions ([`driver::run`]) against the narrow
 //!   [`driver::TxEngine`] interface, including the `Deschedule` parking /
 //!   `wakeWaiters` protocol ([`driver::deschedule`],
-//!   [`driver::wake_waiters`]),
+//!   [`driver::wake_waiters`]) and the `Retry-Orig` baseline ([`orig`]);
+//!   every engine gets [`TmRuntime`] and [`TmRt`] from one blanket
+//!   implementation,
 //! * a word-addressable transactional heap ([`heap::TmHeap`]) with a simple
 //!   allocator, standing in for the raw C memory the paper instruments,
 //! * a table of ownership records ([`orec::OrecTable`]) hashed from addresses,
@@ -24,10 +26,11 @@
 //! * the shared access-set layer ([`access`]): hash-indexed read sets,
 //!   write logs and index sets with a per-thread recycling pool, backing
 //!   every runtime's transaction logs,
-//! * the software-STM attempt ([`stm`]): everything the eager and lazy STMs
-//!   share — begin, reads, snapshot reads, read-set validation, the
-//!   read-only commit, allocation, rollback and deschedule capture — generic
-//!   over the [`stm::WritePolicy`] that is the only part they differ in,
+//! * the software STM ([`stm`]): the engine and the attempt the eager and
+//!   lazy STMs share — begin, reads, snapshot reads, read-set validation,
+//!   the read-only commit, allocation, rollback and deschedule capture —
+//!   generic over the [`stm::WritePolicy`] that is the only part they
+//!   differ in,
 //! * the mode-control plane: the system-wide serial/irrevocable gate and
 //!   shared serial attempt ([`serial`]) plus the pluggable contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
@@ -49,6 +52,7 @@
 //! [`stm-eager`]: ../stm_eager/index.html
 //! [`stm-lazy`]: ../stm_lazy/index.html
 //! [`htm-sim`]: ../htm_sim/index.html
+//! [`tm-hybrid`]: ../tm_hybrid/index.html
 //! [`condsync`]: ../condsync/index.html
 
 #![deny(missing_docs)]
@@ -66,6 +70,7 @@ pub mod heap;
 pub mod hwtm;
 pub mod lock;
 pub mod orec;
+pub mod orig;
 pub mod pad;
 pub mod policy;
 pub mod runtime;

@@ -11,16 +11,22 @@
 //!
 //! As in Algorithm 1, a single lock protects the waiting list; the "atomically
 //! add calling transaction to waiting if still valid" step is expressed as
-//! [`OrigRegistry::register_if`], which runs a runtime-supplied validation
-//! closure while holding that lock.
+//! [`OrigRegistry::register_if`], which runs a validation closure while
+//! holding that lock.  There is one list per [`TmSystem`]
+//! ([`TmSystem::orig`]), whichever runtimes share the system: the driver
+//! loop ([`crate::driver::run`]) puts Retry-Orig sleepers on it and wakes
+//! them after every writer commit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use tm_core::lock::Mutex;
-
-use tm_core::stats::TxStats;
-use tm_core::{CommitOutcome, Semaphore, ThreadCtx, ThreadId};
+use crate::access::cover_valid_at;
+use crate::driver::CommitOutcome;
+use crate::lock::Mutex;
+use crate::sem::Semaphore;
+use crate::stats::TxStats;
+use crate::system::TmSystem;
+use crate::thread::{ThreadCtx, ThreadId};
 
 /// A published record of a transaction sleeping under the original Retry.
 #[derive(Debug)]
@@ -122,6 +128,7 @@ impl OrigRegistry {
     /// the written words' stripes — conservative, never lossy.
     ///
     /// Returns the number of threads woken.
+    #[inline]
     pub fn wake_for_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) -> usize {
         if outcome.serial {
             self.wake_all(thread)
@@ -158,28 +165,30 @@ impl OrigRegistry {
     }
 }
 
-/// The full `Retry-Orig` deschedule path (Algorithm 1), shared by the
-/// software runtimes' engine hooks: publish-if-valid, sleep, deregister.
+/// The full `Retry-Orig` deschedule path (Algorithm 1): publish-if-valid,
+/// sleep, deregister.
 ///
-/// The caller must have rolled its transaction back already;
-/// `reads_still_valid` runs under the registry lock and decides whether the
-/// read set is still consistent (if not, the thread re-executes immediately
-/// instead of sleeping).
-pub fn sleep_until_intersection<F: FnOnce() -> bool>(
-    registry: &OrigRegistry,
+/// The caller must have rolled its transaction back already.  The waiter
+/// publishes `read_orecs` on the system's waiting list only if every one of
+/// them is still unlocked and no newer than `start`, checked under the list
+/// lock; otherwise some location it read already changed and the thread
+/// re-executes immediately instead of sleeping.
+pub fn sleep_until_intersection(
+    system: &TmSystem,
     thread: &Arc<ThreadCtx>,
     read_orecs: Vec<usize>,
-    reads_still_valid: F,
+    start: u64,
 ) {
     TxStats::bump(&thread.stats.descheds);
     let sem = Arc::new(Semaphore::new());
     let waiter = OrigWaiter::new(thread.id, read_orecs, Arc::clone(&sem));
-    if registry.register_if(Arc::clone(&waiter), reads_still_valid) {
+    if system.orig.register_if(Arc::clone(&waiter), || {
+        cover_valid_at(&system.orecs, &waiter.read_orecs, start)
+    }) {
         TxStats::bump(&thread.stats.sleeps);
         sem.wait();
-        registry.deregister(&waiter);
+        system.orig.deregister(&waiter);
     } else {
-        // Some location the waiter read already changed: re-execute now.
         TxStats::bump(&thread.stats.desched_skips);
     }
 }
@@ -187,7 +196,7 @@ pub fn sleep_until_intersection<F: FnOnce() -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{TmConfig, TmSystem};
+    use crate::config::TmConfig;
 
     fn thread_ctx() -> Arc<ThreadCtx> {
         TmSystem::new(TmConfig::small()).register_thread()

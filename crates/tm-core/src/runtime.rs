@@ -5,13 +5,17 @@
 //! double-check and for `wakeWaiters` without knowing which runtime it is
 //! running on).  [`TmRt`] adds the ergonomic generic `atomically` entry
 //! point used by data structures and workloads.
+//!
+//! Both are implemented once, here, for every [`TxEngine`]: each entry
+//! point runs the shared driver loop ([`driver::run`]).
 
 use std::sync::Arc;
 
 use crate::ctl::TxResult;
+use crate::driver::{self, TxEngine};
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
-use crate::tx::Tx;
+use crate::tx::{Tx, TxKind};
 
 /// Object-safe view of a transaction runtime.
 pub trait TmRuntime: Send + Sync {
@@ -19,7 +23,7 @@ pub trait TmRuntime: Send + Sync {
     fn system(&self) -> &Arc<TmSystem>;
 
     /// Short name used in benchmark output (`"eager-stm"`, `"lazy-stm"`,
-    /// `"htm"`).
+    /// `"htm"`, `"hybrid"`).
     fn name(&self) -> &'static str;
 
     /// Runs a transaction body to completion, re-executing it as needed, and
@@ -90,10 +94,6 @@ pub trait TmRt: TmRuntime {
     /// and re-executes it, so declaring read-only is always safe — merely
     /// fastest when true.
     ///
-    /// The default implementation falls back to [`TmRt::atomically`];
-    /// runtimes built on the unified driver override it to pass
-    /// [`crate::tx::TxKind::ReadOnly`].
-    ///
     /// # Examples
     ///
     /// ```
@@ -113,9 +113,48 @@ pub trait TmRt: TmRuntime {
     /// ```
     fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
     where
+        F: FnMut(&mut dyn Tx) -> TxResult<T>;
+}
+
+impl<E: TxEngine> TmRuntime for E {
+    fn system(&self) -> &Arc<TmSystem> {
+        TxEngine::system(self)
+    }
+
+    fn name(&self) -> &'static str {
+        TxEngine::name(self)
+    }
+
+    fn exec_u64(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
+    ) -> u64 {
+        driver::run(self, thread, body)
+    }
+
+    fn exec_bool(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
+    ) -> bool {
+        driver::run(self, thread, body)
+    }
+}
+
+impl<E: TxEngine> TmRt for E {
+    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
+    where
         F: FnMut(&mut dyn Tx) -> TxResult<T>,
     {
-        self.atomically(thread, body)
+        driver::run(self, thread, body)
+    }
+
+    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
+    where
+        F: FnMut(&mut dyn Tx) -> TxResult<T>,
+    {
+        driver::run_kind(self, thread, TxKind::ReadOnly, body)
     }
 }
 

@@ -1,4 +1,5 @@
-//! The software-STM attempt, written once for both write policies.
+//! The software STM, written once for both write policies: the engine
+//! ([`Stm`]) and its attempt ([`StmTx`]).
 //!
 //! The paper's eager STM (Appendix A, Algorithms 8–11) and its TL2-style
 //! lazy STM differ only in where writes go before commit: in place behind
@@ -19,19 +20,21 @@
 //!
 //! A [`WritePolicy`] supplies the rest: the write barrier, read-your-writes,
 //! `read_for_write`, publishing writes at commit and undoing them on
-//! rollback.  `stm_eager::EagerTx` and `stm_lazy::LazyTx` are this attempt
-//! instantiated with the undo and the redo policy.  The attempt is generic
-//! rather than dynamically dispatched so every barrier is monomorphised
-//! into the runtime crate and inlines as before.
+//! rollback, and names the runtime.  `stm_eager::EagerStm` /
+//! `stm_eager::EagerTx` and `stm_lazy::LazyStm` / `stm_lazy::LazyTx` are
+//! this engine and attempt instantiated with the undo and the redo policy.
+//! They are generic rather than dynamically dispatched so every barrier is
+//! monomorphised into the runtime crate and inlines as before.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::access::ReadSet;
 use crate::addr::Addr;
 use crate::clock::CommitStamp;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
-use crate::driver::CommitOutcome;
+use crate::driver::{CommitOutcome, TxEngine};
 use crate::serial::{subscribe_begin, SerialAttempt};
 use crate::stats::TxStats;
 use crate::system::TmSystem;
@@ -44,6 +47,9 @@ use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 /// Every hook runs on a plain software attempt only; serial attempts and
 /// the snapshot checks are handled by [`StmTx`] before a hook is reached.
 pub trait WritePolicy: Sized + fmt::Debug {
+    /// The runtime's name ([`crate::TmRuntime::name`]).
+    const NAME: &'static str;
+
     /// Per-runtime state handed to every attempt's policy (the hybrid
     /// runtime's commit interlock for the redo policy; `()` otherwise).
     type Setup: Default;
@@ -293,6 +299,61 @@ impl Attempt {
     }
 }
 
+/// The software-STM runtime with write policy `W`: the [`TxEngine`] both
+/// STMs share.  `stm_eager::EagerStm` and `stm_lazy::LazyStm` are aliases
+/// of it, and the driver gives it [`crate::TmRuntime`] and
+/// [`crate::TmRt`].
+#[derive(Debug)]
+pub struct Stm<W: WritePolicy> {
+    system: Arc<TmSystem>,
+    policy: PhantomData<fn() -> W>,
+}
+
+impl<W: WritePolicy> Stm<W> {
+    /// Creates a runtime over `system`.
+    pub fn new(system: Arc<TmSystem>) -> Arc<Self> {
+        Arc::new(Stm {
+            system,
+            policy: PhantomData,
+        })
+    }
+}
+
+impl<W: WritePolicy> TxEngine for Stm<W> {
+    type Tx<'eng>
+        = StmTx<W>
+    where
+        Self: 'eng;
+
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
+
+    fn name(&self) -> &'static str {
+        W::NAME
+    }
+
+    fn begin(&self, common: TxCommon) -> StmTx<W> {
+        StmTx::begin(&self.system, common)
+    }
+
+    fn try_commit(&self, tx: &mut StmTx<W>) -> Result<CommitOutcome, TxCtl> {
+        tx.try_commit()
+    }
+
+    fn rollback(&self, tx: &mut StmTx<W>) {
+        tx.rollback();
+    }
+
+    fn materialise_wait(&self, tx: &mut StmTx<W>, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
+        tx.rollback_for_deschedule(spec)
+    }
+
+    fn read_cover(&self, tx: &mut StmTx<W>) -> Option<(Vec<usize>, u64)> {
+        tx.read_cover()
+    }
+}
+
 /// An in-flight software-STM attempt with write policy `W`.
 ///
 /// The read set and the policy's logs are pooled access-set containers
@@ -352,16 +413,21 @@ impl<W: WritePolicy> StmTx<W> {
         }
     }
 
-    /// The clock value sampled at begin.
-    pub fn start(&self) -> u64 {
-        self.at.start
-    }
-
     /// Ownership-record indices covering the read set (used by
     /// `Retry-Orig`), sorted and deduplicated — the read set's own stripe
     /// cover, not recomputed from the address list.
     pub fn read_orec_indices(&mut self) -> Vec<usize> {
         self.at.reads.orec_cover().to_vec()
+    }
+
+    /// The read-set cover and start time `Retry-Orig` publishes
+    /// ([`TxEngine::read_cover`]); `None` for serial and snapshot attempts,
+    /// which keep no read set.
+    pub fn read_cover(&mut self) -> Option<(Vec<usize>, u64)> {
+        if self.at.serial.is_some() || self.at.snapshot {
+            return None;
+        }
+        Some((self.read_orec_indices(), self.at.start))
     }
 
     /// Records a read in the `Retry` value log, substituting the value a
@@ -480,7 +546,7 @@ impl<W: WritePolicy> StmTx<W> {
             return serial.rollback_for_deschedule(spec, &mut self.at.common);
         }
         match spec {
-            WaitSpec::ReadSetValues => {
+            WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
                 let pairs = self.at.common.waitset.drain_pairs();
                 self.rollback();
                 Ok(WaitCondition::ValuesChanged(pairs))
@@ -506,12 +572,6 @@ impl<W: WritePolicy> StmTx<W> {
             WaitSpec::Pred { f, args } => {
                 self.rollback();
                 Ok(WaitCondition::Pred { f, args })
-            }
-            WaitSpec::OrigReadLocks => {
-                // Handled by the driver (it needs the read-orec list *and*
-                // the registry); reaching this point is a logic error.
-                self.rollback();
-                Err(TxCtl::Abort(AbortReason::ReadConflict))
             }
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! A [`TmSystem`] bundles everything the runtimes share: the heap, the
 //! ownership-record table, the global clock, the thread registry, and the
-//! waiter registry used by `Deschedule`.  All three runtimes (eager STM,
-//! lazy STM, HTM simulator) can be layered over the *same* system instance,
-//! which is how Hybrid-TM-style mixing would work; the evaluation uses one
-//! runtime per experiment, as the paper does.
+//! two waiting lists: the waiter registry used by `Deschedule` and the
+//! `Retry-Orig` list.  All four runtimes (eager STM, lazy STM, HTM
+//! simulator, hybrid) can be layered over the *same* system instance, and
+//! waiters on either list are woken by a commit through any of them; the
+//! hybrid runtime is built that way, while the evaluation uses one runtime
+//! per experiment, as the paper does.
 
 use std::sync::Arc;
 
@@ -15,6 +17,7 @@ use crate::config::TmConfig;
 use crate::epoch::EpochTable;
 use crate::heap::TmHeap;
 use crate::orec::OrecTable;
+use crate::orig::OrigRegistry;
 use crate::policy::ContentionManager;
 use crate::serial::SerialGate;
 use crate::stats::TxStats;
@@ -45,6 +48,9 @@ pub struct TmSystem {
     /// Sharded, address-indexed registry of descheduled (sleeping)
     /// transactions, keyed by ownership-record stripe.
     pub waiters: WaitList,
+    /// The waiting list of the `Retry-Orig` baseline (Algorithm 1), keyed by
+    /// the ownership records covering each sleeper's read set.
+    pub orig: OrigRegistry,
     /// Hashed timer wheel delivering deadlines to timed waits; driven lazily
     /// by committing and spinning threads (no background ticker).
     pub timers: TimerWheel,
@@ -78,6 +84,7 @@ impl TmSystem {
             clock: GlobalClock::for_system(config.clock, Arc::clone(&epochs)),
             threads: ThreadRegistry::with_epochs(Arc::clone(&epochs)),
             waiters: WaitList::new(config.wake_shards),
+            orig: OrigRegistry::new(),
             timers: TimerWheel::new(config.timer),
             serial: SerialGate::new(),
             policy,

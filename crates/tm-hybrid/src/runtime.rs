@@ -3,13 +3,11 @@
 
 use std::sync::Arc;
 
-use condsync::OrigRegistry;
 use htm_sim::{HtmSim, HtmTx};
 use stm_lazy::{CommitInterlock, LazyTx};
-use tm_core::driver::{self, CommitOutcome, TxEngine};
+use tm_core::driver::{CommitOutcome, TxEngine};
 use tm_core::{
-    Addr, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
-    TxResult, WaitCondition, WaitSpec,
+    Addr, ThreadId, TmSystem, Tx, TxCommon, TxCtl, TxMode, TxResult, WaitCondition, WaitSpec,
 };
 
 /// The software-commit interlock this runtime installs into its lazy path:
@@ -78,10 +76,6 @@ pub struct HybridTm {
     system: Arc<TmSystem>,
     htm: Arc<HtmSim>,
     interlock: Arc<HwInterlock>,
-    /// Waiting list for the `Retry-Orig` baseline — supported here, unlike
-    /// on the pure HTM configuration, because the software path has real
-    /// lock metadata (every `Retry-Orig` sleep runs on the lazy path).
-    orig: OrigRegistry,
 }
 
 impl std::fmt::Debug for HybridTm {
@@ -104,23 +98,12 @@ impl HybridTm {
             system,
             htm,
             interlock,
-            orig: OrigRegistry::new(),
         })
-    }
-
-    /// The shared system.
-    pub fn system(&self) -> &Arc<TmSystem> {
-        &self.system
     }
 
     /// The hardware fast path's simulator (exposed for tests).
     pub fn htm(&self) -> &Arc<HtmSim> {
         &self.htm
-    }
-
-    /// The `Retry-Orig` waiting list (exposed for tests).
-    pub fn orig_registry(&self) -> &OrigRegistry {
-        &self.orig
     }
 }
 
@@ -194,6 +177,14 @@ impl Tx for HybridTx<'_> {
 impl TxEngine for HybridTm {
     type Tx<'eng> = HybridTx<'eng>;
 
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
+
+    fn name(&self) -> &'static str {
+        "hybrid"
+    }
+
     fn begin(&self, common: TxCommon) -> HybridTx<'_> {
         match common.mode {
             // Hardware runs speculatively; Serial runs the simulator's
@@ -236,23 +227,14 @@ impl TxEngine for HybridTm {
         }
     }
 
-    fn supports_orig_retry(&self) -> bool {
-        // The software path has lock metadata; the driver routes every
-        // Retry-Orig sleep through it (hardware attempts relog in software
-        // first, exactly like value-based Retry).
-        true
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut HybridTx<'_>) {
-        let HybridTx::Sw(lazy) = tx else {
-            unreachable!("Retry-Orig deschedules only run on the software path");
-        };
-        let read_orecs = lazy.read_orec_indices();
-        let start = lazy.start();
-        lazy.rollback();
-        condsync::sleep_until_intersection(&self.orig, thread, read_orecs.clone(), || {
-            tm_core::access::cover_valid_at(&self.system.orecs, &read_orecs, start)
-        });
+    fn read_cover(&self, tx: &mut HybridTx<'_>) -> Option<(Vec<usize>, u64)> {
+        // Only the software path has lock metadata, so `Retry-Orig` is
+        // supported here, unlike on the pure HTM configuration: hardware
+        // attempts relog in software first, exactly like value-based Retry.
+        match tx {
+            HybridTx::Hw(_) => None,
+            HybridTx::Sw(tx) => tx.read_cover(),
+        }
     }
 
     fn mode_after_wake(&self) -> TxMode {
@@ -282,62 +264,12 @@ impl TxEngine for HybridTm {
             _ => TxMode::Serial,
         }
     }
-
-    fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        self.orig.wake_for_commit(thread, outcome);
-    }
-}
-
-impl TmRuntime for HybridTm {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl TmRt for HybridTm {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        // The hardware fast path is attempted first, as always; if the
-        // attempt falls off speculation, the software rung is a lazy-STM
-        // snapshot attempt (no read set, free commit) instead of a full
-        // instrumented transaction.
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, HtmConfig, TmConfig, TmVar};
+    use tm_core::{HtmConfig, TmConfig, TmRt, TmVar};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HybridTm>) {
         let system = TmSystem::new(TmConfig::small());
@@ -461,7 +393,7 @@ mod tests {
         let th = system.register_thread();
         rt.atomically(&th, |tx| flag.set(tx, 9));
         assert_eq!(waiter.join().unwrap(), 9);
-        assert_eq!(rt.orig_registry().len(), 0);
+        assert_eq!(rt.system().orig.len(), 0);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! flow control and per-operation-class tail latency.
 //!
 //! Both families run every combination of the seven mechanisms
-//! ([`condsync::Mechanism`]) and the three runtime configurations
-//! ([`RuntimeKind`]); results are collected into the serializable records of
+//! ([`condsync::Mechanism`]) and the four runtime configurations
+//! ([`RuntimeKind`]: the paper's three plus the hybrid); results are collected into the serializable records of
 //! [`report`], which the `tm-bench` figure binaries render as the same rows
 //! and series the paper plots.
 

@@ -106,7 +106,7 @@ impl FromStr for RuntimeKind {
     }
 }
 
-/// Enum dispatch over the three runtime implementations.
+/// Enum dispatch over the four runtime implementations.
 ///
 /// [`TmRt::atomically`] is not object-safe (it is generic in the body's
 /// return type), so workloads that must pick their runtime at run time use

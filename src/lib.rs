@@ -3,10 +3,10 @@
 //! A from-scratch Rust reproduction of *"Practical Condition Synchronization
 //! for Transactional Memory"* (Wang, EuroSys 2016 line of work): the
 //! **Deschedule** mechanism and the three linguistic constructs built on it —
-//! `Retry`, `Await` and `WaitPred` — implemented over three transactional
-//! memory runtimes (an eager undo-log STM, a lazy redo-log STM, and a
-//! simulated best-effort HTM), together with every baseline, workload and
-//! benchmark the paper evaluates.
+//! `Retry`, `Await` and `WaitPred` — implemented over four transactional
+//! memory runtimes (an eager undo-log STM, a lazy redo-log STM, a
+//! simulated best-effort HTM, and a hybrid of the last two), together with
+//! every baseline, workload and benchmark the paper evaluates.
 //!
 //! This crate is a facade: it re-exports the workspace's crates under one
 //! roof and provides a [`prelude`] for applications.

@@ -67,8 +67,11 @@ fn no_lost_wakeups_waitpred_all_runtimes() {
 
 #[test]
 fn no_lost_wakeups_retry_orig_on_stms() {
-    countdown(RuntimeKind::EagerStm, Mechanism::RetryOrig, 2, 4);
-    countdown(RuntimeKind::LazyStm, Mechanism::RetryOrig, 2, 4);
+    for kind in RuntimeKind::ALL {
+        if kind.supports_retry_orig() {
+            countdown(kind, Mechanism::RetryOrig, 2, 4);
+        }
+    }
 }
 
 #[test]

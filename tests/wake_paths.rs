@@ -331,3 +331,47 @@ fn disjoint_writer_scans_nothing_htm() {
 fn disjoint_writer_scans_nothing_hybrid() {
     disjoint_writer_scans_nothing(RuntimeKind::Hybrid);
 }
+
+/// Two runtimes layered over one [`TmSystem`] share its waiting lists: a
+/// sleeper parked through the first runtime is woken by a write committed
+/// through the second, for value-based `Retry` and for the `Retry-Orig`
+/// baseline alike.  Every wait is bounded, so a sleeper left on a list the
+/// writer never scans fails the test instead of hanging it.
+#[test]
+fn shared_system_wakes_sleepers_across_runtimes() {
+    let system = TmSystem::new(TmConfig::small());
+    let sleeper_rt = RuntimeKind::EagerStm.over(Arc::clone(&system));
+    let writer_rt = RuntimeKind::EagerStm.over(Arc::clone(&system));
+    let writer = system.register_thread();
+    for orig in [false, true] {
+        let label = if orig { "Retry-Orig" } else { "Retry" };
+        let flag = TmVar::<u64>::alloc(&system, 0);
+        let sleeps_before = system.stats().sleeps;
+        let waiter = {
+            let (rt, system, flag) = (sleeper_rt.clone(), Arc::clone(&system), flag.clone());
+            std::thread::spawn(move || {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| match flag.get(tx)? {
+                    0 if orig => tm_repro::sync::retry_orig(tx),
+                    0 => retry(tx),
+                    v => Ok(v),
+                })
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while system.stats().sleeps == sleeps_before {
+            assert!(Instant::now() < deadline, "{label} sleeper never slept");
+            std::thread::yield_now();
+        }
+        writer_rt.atomically(&writer, |tx| flag.set(tx, 7));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !waiter.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{label} sleeper on one runtime was not woken by a commit through another"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(waiter.join().unwrap(), 7, "{label}");
+    }
+}
