@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the raw transaction primitives each runtime
-//! provides: read-only transactions, writer transactions, and the
-//! empty-registry fast path of `wakeWaiters`.
+//! provides: transactions that only read (as update transactions and as
+//! declared read-only ones), writer transactions, and the empty-registry
+//! fast path of `wakeWaiters`.
 //!
 //! These numbers establish the baseline transaction costs that the
 //! condition-synchronization mechanisms add to; the paper's claim is that
@@ -13,11 +14,20 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use condsync::wake_waiters;
-use tm_core::{TmConfig, TmVar};
+use tm_core::{TmConfig, TmVar, Tx};
 use tm_workloads::runtime::RuntimeKind;
 
+/// Transactions that only read, run two ways: `atomically` (an update
+/// transaction that happens not to write: read set, commit-time checks)
+/// and `atomically_read` (declared read-only: the snapshot path with no
+/// read set and a free commit).
 fn read_only(c: &mut Criterion) {
-    let mut group = c.benchmark_group("primitive_read_only_tx");
+    read_only_group(c, "primitive_read_only_tx", false);
+    read_only_group(c, "primitive_declared_read_only_tx", true);
+}
+
+fn read_only_group(c: &mut Criterion, name: &str, declared: bool) {
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(1));
     for kind in RuntimeKind::ALL {
@@ -28,16 +38,19 @@ fn read_only(c: &mut Criterion) {
                 .map(|i| TmVar::alloc(&system, i as u64))
                 .collect();
             let th = system.register_thread();
+            let body = |tx: &mut dyn Tx| {
+                let mut sum = 0u64;
+                for v in &arr {
+                    sum = sum.wrapping_add(v.get(tx)?);
+                }
+                Ok(sum)
+            };
             group.bench_with_input(BenchmarkId::new(kind.label(), reads), &reads, |b, _| {
-                b.iter(|| {
-                    rt.atomically(&th, |tx| {
-                        let mut sum = 0u64;
-                        for v in &arr {
-                            sum = sum.wrapping_add(v.get(tx)?);
-                        }
-                        Ok(sum)
-                    })
-                })
+                if declared {
+                    b.iter(|| rt.atomically_read(&th, body))
+                } else {
+                    b.iter(|| rt.atomically(&th, body))
+                }
             });
         }
     }

@@ -48,17 +48,13 @@ enum State {
         redo: WriteLog,
     },
     Serial {
-        /// True while this attempt holds the global serial lock.
-        holding: bool,
         /// Old values of written locations, one entry per address.
         undo: WriteLog,
     },
 }
 
 impl State {
-    /// Returns the state's containers to `thread`'s pool.  Set-size
-    /// high-water marks are recorded where the logs are cleared
-    /// (rollback/commit), before the sizes are lost.
+    /// Returns the state's (cleared) containers to `thread`'s pool.
     fn recycle(self, thread: &ThreadCtx) {
         match self {
             State::Hardware {
@@ -70,23 +66,38 @@ impl State {
                 thread.put_index_set(write_slots);
                 thread.put_write_log(redo);
             }
-            State::Serial { undo, .. } => thread.put_write_log(undo),
+            State::Serial { undo } => thread.put_write_log(undo),
         }
     }
 
-    /// Records the attempt's set-size high-water marks (called before the
-    /// logs are cleared).
-    fn note_sizes(&self, thread: &ThreadCtx) {
+    /// Records the attempt's set-size high-water marks and clears its
+    /// containers: the one place either happens, once per commit or
+    /// rollback.
+    fn reset(&mut self, thread: &ThreadCtx) {
         match self {
             State::Hardware {
-                read_slots, redo, ..
+                read_slots,
+                write_slots,
+                redo,
             } => {
                 TxStats::record_max(&thread.stats.read_set_max, read_slots.len() as u64);
                 TxStats::record_max(&thread.stats.write_set_max, redo.len() as u64);
+                read_slots.clear();
+                write_slots.clear();
+                redo.clear();
             }
-            State::Serial { undo, .. } => {
+            State::Serial { undo } => {
                 TxStats::record_max(&thread.stats.write_set_max, undo.len() as u64);
+                undo.clear();
             }
+        }
+    }
+
+    /// An empty serial state owning nothing, left behind when the real
+    /// state's containers are recycled.
+    fn placeholder() -> State {
+        State::Serial {
+            undo: WriteLog::new(),
         }
     }
 }
@@ -97,6 +108,9 @@ pub struct HtmTx<'rt> {
     rt: &'rt HtmSim,
     common: TxCommon,
     state: State,
+    /// True from begin until the attempt commits or rolls back.  A live
+    /// serial attempt holds the fallback lock.
+    live: bool,
     mallocs: Vec<(Addr, usize)>,
     frees: Vec<(Addr, usize)>,
 }
@@ -106,29 +120,35 @@ impl<'rt> HtmTx<'rt> {
     /// be free before starting (lock-elision subscription); serial attempts
     /// acquire the lock and doom all in-flight hardware transactions.
     pub fn begin(rt: &'rt HtmSim, common: TxCommon) -> Self {
-        let state = if common.mode == TxMode::Hardware {
-            rt.wait_fallback_clear();
-            // A stale doom flag from a previous attempt must not kill this one.
-            common.thread.take_doomed();
-            rt.plane().begin_attempt(common.thread.id);
-            State::Hardware {
-                read_slots: common.thread.take_index_set(),
-                write_slots: common.thread.take_index_set(),
-                redo: common.thread.take_write_log(),
-            }
-        } else {
-            rt.acquire_serial(&common.thread);
-            State::Serial {
-                holding: true,
-                undo: common.thread.take_write_log(),
-            }
-        };
+        let state = Self::begin_state(rt, &common.thread, common.mode == TxMode::Hardware);
         HtmTx {
             rt,
             common,
             state,
+            live: true,
             mallocs: Vec::new(),
             frees: Vec::new(),
+        }
+    }
+
+    /// Starts a hardware attempt or takes the serial lock, and takes the
+    /// flavour's containers from the pool.
+    fn begin_state(rt: &HtmSim, thread: &Arc<ThreadCtx>, hardware: bool) -> State {
+        if hardware {
+            rt.wait_fallback_clear();
+            // A stale doom flag from a previous attempt must not kill this one.
+            thread.take_doomed();
+            rt.plane().begin_attempt(thread.id);
+            State::Hardware {
+                read_slots: thread.take_index_set(),
+                write_slots: thread.take_index_set(),
+                redo: thread.take_write_log(),
+            }
+        } else {
+            rt.acquire_serial(thread);
+            State::Serial {
+                undo: thread.take_write_log(),
+            }
         }
     }
 
@@ -144,21 +164,25 @@ impl<'rt> HtmTx<'rt> {
         // Substitute the pre-transaction value for locations this (serial)
         // attempt has already written, as Algorithm 5 does with the undo log.
         let logged = match &self.state {
-            State::Serial { undo, .. } => undo.lookup(addr).unwrap_or(observed),
+            State::Serial { undo } => undo.lookup(addr).unwrap_or(observed),
             State::Hardware { .. } => observed,
         };
         self.common.log_retry_read(addr, logged);
     }
 
-    /// Rolls the attempt back.  Safe to call more than once.  Serial attempts
-    /// release the fallback lock.
+    /// Rolls the attempt back.  Safe to call more than once: only a live
+    /// attempt has anything to undo.  Serial attempts release the fallback
+    /// lock.
     pub fn rollback(&mut self) {
-        self.state.note_sizes(&self.common.thread);
-        match &mut self.state {
+        if !self.live {
+            return;
+        }
+        self.live = false;
+        match &self.state {
             State::Hardware {
                 read_slots,
                 write_slots,
-                redo,
+                ..
             } => {
                 let me = self.common.thread.id;
                 for slot in read_slots.iter() {
@@ -167,22 +191,16 @@ impl<'rt> HtmTx<'rt> {
                 for slot in write_slots.iter() {
                     self.rt.plane().clear_write(slot, me);
                 }
-                read_slots.clear();
-                write_slots.clear();
-                redo.clear();
                 self.common.thread.take_doomed();
             }
-            State::Serial { holding, undo } => {
+            State::Serial { undo } => {
                 for e in undo.iter().rev() {
                     self.rt.system().heap.store(e.addr, e.val);
                 }
-                undo.clear();
-                if *holding {
-                    self.rt.release_serial();
-                    *holding = false;
-                }
+                self.rt.release_serial();
             }
         }
+        self.state.reset(&self.common.thread);
         for &(addr, words) in &self.mallocs {
             self.rt
                 .system()
@@ -196,9 +214,8 @@ impl<'rt> HtmTx<'rt> {
     /// Attempts to commit.  On failure the caller must call
     /// [`HtmTx::rollback`].
     pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
-        let system = Arc::clone(self.rt.system());
-        self.state.note_sizes(&self.common.thread);
-        match &mut self.state {
+        let system = self.rt.system();
+        let outcome = match &mut self.state {
             State::Hardware {
                 read_slots,
                 write_slots,
@@ -314,31 +331,25 @@ impl<'rt> HtmTx<'rt> {
                 for slot in read_slots.iter() {
                     plane.clear_read(slot, me);
                 }
-                read_slots.clear();
-                write_slots.clear();
-                redo.clear();
                 for &(addr, words) in &self.frees {
                     system.heap.dealloc_for(&self.common.thread, addr, words);
                 }
-                self.mallocs.clear();
-                self.frees.clear();
-                Ok(CommitOutcome::hardware(was_writer, wake_stripes))
+                CommitOutcome::hardware(was_writer, wake_stripes)
             }
-            State::Serial { holding, undo } => {
+            State::Serial { undo } => {
                 let was_writer = !undo.is_empty();
-                undo.clear();
                 for &(addr, words) in &self.frees {
                     system.heap.dealloc_for(&self.common.thread, addr, words);
                 }
-                self.mallocs.clear();
-                self.frees.clear();
-                if *holding {
-                    self.rt.release_serial();
-                    *holding = false;
-                }
-                Ok(CommitOutcome::serial(was_writer))
+                self.rt.release_serial();
+                CommitOutcome::serial(was_writer)
             }
-        }
+        };
+        self.live = false;
+        self.state.reset(&self.common.thread);
+        self.mallocs.clear();
+        self.frees.clear();
+        Ok(outcome)
     }
 
     /// Rolls back and materialises the wait condition for a deschedule
@@ -352,17 +363,14 @@ impl<'rt> HtmTx<'rt> {
                 Ok(WaitCondition::ValuesChanged(pairs))
             }
             WaitSpec::Addrs(addrs) => {
-                // Record the set high-water marks now: the undo log is
-                // drained below, before `rollback` can observe its size.
-                self.state.note_sizes(&self.common.thread);
                 // Undo our writes first so the captured snapshot reflects the
                 // pre-transaction state; as the serial-lock holder we are the
                 // only transaction running, so plain loads are consistent.
-                if let State::Serial { undo, .. } = &mut self.state {
+                // The rollback below restores the same words again.
+                if let State::Serial { undo } = &self.state {
                     for e in undo.iter().rev() {
                         self.rt.system().heap.store(e.addr, e.val);
                     }
-                    undo.clear();
                 }
                 let pairs = addrs
                     .iter()
@@ -382,17 +390,11 @@ impl<'rt> HtmTx<'rt> {
 impl Drop for HtmTx<'_> {
     fn drop(&mut self) {
         // Defensive: never leak the serial lock or stale line registrations
-        // if a body panics.
+        // if a body panics (a no-op once the attempt committed or rolled
+        // back).
         self.rollback();
         // Recycle the attempt's access sets for the next attempt.
-        let state = std::mem::replace(
-            &mut self.state,
-            State::Serial {
-                holding: false,
-                undo: WriteLog::new(),
-            },
-        );
-        state.recycle(&self.common.thread);
+        std::mem::replace(&mut self.state, State::placeholder()).recycle(&self.common.thread);
     }
 }
 
@@ -438,7 +440,17 @@ impl Tx for HtmTx<'_> {
                 return Err(hw_fault(&self.common.thread, f));
             }
         }
-        Ok(self.rt.system().heap.load(addr))
+        let val = self.rt.system().heap.load(addr);
+        // Every committer dooms the registered readers of a line before it
+        // writes the line back.  If this thread was preempted between the
+        // doom check above and the load, the load may return a committed
+        // value that contradicts an earlier read; the doom is visible by
+        // now, so check again rather than hand the body a torn view (real
+        // HTM aborts the load itself).
+        if self.common.thread.is_doomed() {
+            return Err(TxCtl::Abort(AbortReason::HwConflict));
+        }
+        Ok(val)
     }
 
     fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
@@ -517,30 +529,10 @@ impl Tx for HtmTx<'_> {
                 block();
                 // Begin the continuation transaction in the same flavour,
                 // recycling the committed attempt's (cleared) containers.
-                let prev = std::mem::replace(
-                    &mut self.state,
-                    State::Serial {
-                        holding: false,
-                        undo: WriteLog::new(),
-                    },
-                );
-                prev.recycle(&self.common.thread);
-                if hardware {
-                    self.rt.wait_fallback_clear();
-                    self.common.thread.take_doomed();
-                    self.rt.plane().begin_attempt(self.common.thread.id);
-                    self.state = State::Hardware {
-                        read_slots: self.common.thread.take_index_set(),
-                        write_slots: self.common.thread.take_index_set(),
-                        redo: self.common.thread.take_write_log(),
-                    };
-                } else {
-                    self.rt.acquire_serial(&self.common.thread);
-                    self.state = State::Serial {
-                        holding: true,
-                        undo: self.common.thread.take_write_log(),
-                    };
-                }
+                std::mem::replace(&mut self.state, State::placeholder())
+                    .recycle(&self.common.thread);
+                self.state = Self::begin_state(self.rt, &self.common.thread, hardware);
+                self.live = true;
                 Ok(())
             }
             Err(ctl) => Err(ctl),

@@ -122,12 +122,12 @@ impl WritePolicy for UndoPolicy {
     }
 
     fn restore_memory(&mut self, at: &Attempt) {
-        // Record the write-set high-water mark before the log is drained.
-        TxStats::record_max(&at.stats().write_set_max, self.undos.len() as u64);
+        // The log stays intact until `clear`, which records its size: an
+        // `Await` capture restores memory here and the rollback after it
+        // restores the same (still locked) words again.
         for e in self.undos.iter().rev() {
             at.system().heap.store(e.addr, e.val);
         }
-        self.undos.clear();
     }
 
     fn clear(&mut self, stats: &TxStats) {

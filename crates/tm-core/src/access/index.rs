@@ -10,6 +10,14 @@
 //! chains short; the owner rebuilds the map from its entries when
 //! [`PosMap::needs_grow`] fires (growth is rare and amortised, and a rebuild
 //! is just re-inserting positions).
+//!
+//! Invariant: `len == 0` implies every slot is [`VACANT`], so clearing an
+//! empty map writes nothing.  That matters beyond the saved stores: a
+//! never-grown map's table is an empty boxed slice whose pointer dangles,
+//! and a zero-length `fill` there can still become a `memset` whose
+//! vectorised masked store faults on the unmapped page and is replayed by
+//! a microcode assist costing ~160 ns — more than the rest of a snapshot
+//! commit, which holds only never-grown containers.
 
 /// Sentinel marking an empty slot.
 const VACANT: u32 = u32::MAX;
@@ -125,6 +133,10 @@ impl PosMap {
     /// Fills the vacant slot returned by a probe with an entry position.
     #[inline]
     pub(crate) fn occupy(&mut self, slot: usize, pos: u32) {
+        debug_assert!(
+            self.len != 0 || self.all_vacant(),
+            "len 0 with slots in use"
+        );
         debug_assert_eq!(self.slots[slot], VACANT);
         debug_assert_ne!(pos, VACANT);
         self.slots[slot] = pos;
@@ -148,10 +160,20 @@ impl PosMap {
         }
     }
 
-    /// Empties the map, keeping the allocated table for reuse.
+    /// Empties the map, keeping the allocated table for reuse.  Free on an
+    /// empty map (see the module docs for why it must not touch the table).
+    #[inline]
     pub(crate) fn clear(&mut self) {
-        self.slots.fill(VACANT);
-        self.len = 0;
+        if self.len != 0 {
+            self.slots.fill(VACANT);
+            self.len = 0;
+        }
+        debug_assert!(self.all_vacant(), "len 0 with slots in use");
+    }
+
+    /// True if no slot is in use (the `len == 0` invariant's other half).
+    fn all_vacant(&self) -> bool {
+        self.slots.iter().all(|&s| s == VACANT)
     }
 }
 
@@ -267,6 +289,31 @@ mod tests {
         assert_eq!(map.len(), 0);
         assert_eq!(map.capacity(), cap);
         assert!(insert(&mut map, &mut keys, 7));
+    }
+
+    #[test]
+    fn full_then_cleared_table_is_all_vacant() {
+        let mut map = PosMap::new();
+        let mut keys = Vec::new();
+        // Fill right up to the grow threshold, so nearly every slot is used.
+        while !map.needs_grow() || keys.is_empty() {
+            let key = keys.len() as u64 * 31;
+            insert(&mut map, &mut keys, key);
+        }
+        let cap = map.capacity();
+        assert!(map.slots.iter().filter(|&&s| s != VACANT).count() * 4 >= cap * 3);
+        map.clear();
+        assert_eq!(map.capacity(), cap);
+        assert!(map.slots.iter().all(|&s| s == VACANT));
+        assert_eq!(map.lookup(0, |p| keys[p as usize] == 0), None);
+    }
+
+    #[test]
+    fn clearing_an_empty_map_leaves_it_unallocated() {
+        let mut map = PosMap::new();
+        map.clear();
+        assert_eq!((map.len(), map.capacity()), (0, 0));
+        assert_eq!(map.lookup(5, |_| true), None);
     }
 
     #[test]

@@ -50,7 +50,48 @@ pub fn cover_valid_at(orecs: &OrecTable, cover: &[usize], start: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Addr;
     use crate::orec::OrecValue;
+
+    #[test]
+    fn clearing_never_grown_containers_allocates_nothing() {
+        // The snapshot path clears exactly these on every commit.
+        let mut reads = ReadSet::new();
+        let mut log = WriteLog::new();
+        let mut set = IndexSet::new();
+        for _ in 0..3 {
+            reads.clear();
+            log.clear();
+            set.clear();
+        }
+        assert_eq!(
+            (reads.capacity(), log.capacity(), set.capacity()),
+            (0, 0, 0)
+        );
+        assert!(!reads.contains(Addr(1)));
+        assert_eq!(log.lookup(Addr(1)), None);
+        assert!(!set.contains(1));
+        assert!(reads.orec_cover().is_empty() && log.orec_cover().is_empty());
+    }
+
+    #[test]
+    fn taken_index_set_comes_back_from_the_pool_empty_and_reusable() {
+        // `take_entries` clears a populated slab (the `len != 0` path) and
+        // leaves the set empty, so the pool keeps it.
+        let pool = LogPool::new();
+        let (mut set, _) = pool.take_index_set();
+        for i in 0..20 {
+            set.insert(i * 7);
+        }
+        assert_eq!(set.take_entries().len(), 20);
+        pool.put_index_set(set);
+        let (mut set, taken) = pool.take_index_set();
+        assert_eq!(taken, Taken::Recycled);
+        assert!(set.is_empty());
+        assert!((0..20).all(|i| !set.contains(i * 7)));
+        assert!(set.insert(7) && set.insert(8) && !set.insert(7));
+        assert_eq!(set.as_slice(), &[7, 8]);
+    }
 
     #[test]
     fn cover_valid_at_matches_per_stripe_state() {

@@ -74,42 +74,43 @@ impl LogPool {
         }
     }
 
-    /// Returns a read set to the pool (cleared; dropped if it never grew or
-    /// the pool is full).
-    pub fn put_read_set(&self, mut s: ReadSet) {
-        if s.capacity() == 0 {
-            return;
-        }
-        s.clear();
-        let mut inner = self.inner.lock();
-        if inner.read_sets.len() < MAX_SPARES {
-            inner.read_sets.push(s);
-        }
-    }
-
-    /// Returns a write log to the pool (cleared; dropped if it never grew
-    /// or the pool is full).
-    pub fn put_write_log(&self, mut l: WriteLog) {
-        if l.capacity() == 0 {
-            return;
-        }
-        l.clear();
-        let mut inner = self.inner.lock();
-        if inner.write_logs.len() < MAX_SPARES {
-            inner.write_logs.push(l);
+    /// Returns a read set to the pool.
+    ///
+    /// The pool keeps only cleared containers that have grown.  It does
+    /// not clear what it is given: the attempt that filled a container
+    /// already cleared it once, recording its size as it did.  A container
+    /// that never grew owns nothing and is dropped, which keeps the
+    /// snapshot path, whose containers never grow, off the pool lock.  A
+    /// container that comes back non-empty belongs to an attempt abandoned
+    /// by a panic; it is dropped rather than handed to the next attempt.
+    pub fn put_read_set(&self, s: ReadSet) {
+        if LogPool::keeps(s.capacity(), s.is_empty()) {
+            LogPool::push_bounded(&mut self.inner.lock().read_sets, s);
         }
     }
 
-    /// Returns an index set to the pool (cleared; dropped if it never grew
-    /// or the pool is full).
-    pub fn put_index_set(&self, mut s: IndexSet) {
-        if s.capacity() == 0 {
-            return;
+    /// Returns a write log to the pool (see [`LogPool::put_read_set`]).
+    pub fn put_write_log(&self, l: WriteLog) {
+        if LogPool::keeps(l.capacity(), l.is_empty()) {
+            LogPool::push_bounded(&mut self.inner.lock().write_logs, l);
         }
-        s.clear();
-        let mut inner = self.inner.lock();
-        if inner.index_sets.len() < MAX_SPARES {
-            inner.index_sets.push(s);
+    }
+
+    /// Returns an index set to the pool (see [`LogPool::put_read_set`]).
+    pub fn put_index_set(&self, s: IndexSet) {
+        if LogPool::keeps(s.capacity(), s.is_empty()) {
+            LogPool::push_bounded(&mut self.inner.lock().index_sets, s);
+        }
+    }
+
+    /// Whether a returned container is pooled (see `put_read_set`).
+    fn keeps(capacity: usize, is_empty: bool) -> bool {
+        capacity != 0 && is_empty
+    }
+
+    fn push_bounded<T>(spares: &mut Vec<T>, container: T) {
+        if spares.len() < MAX_SPARES {
+            spares.push(container);
         }
     }
 
@@ -134,6 +135,7 @@ mod tests {
             rs.record(Addr(i), i);
         }
         let cap = rs.capacity();
+        rs.clear();
         pool.put_read_set(rs);
         assert_eq!(pool.spares(), 1);
         let (rs, taken) = pool.take_read_set();
@@ -152,11 +154,28 @@ mod tests {
     }
 
     #[test]
+    fn uncleared_containers_are_dropped_not_pooled() {
+        // What an attempt abandoned by a panic hands back: its logs still
+        // hold entries, and the next attempt must never see them.
+        let pool = LogPool::new();
+        let mut l = WriteLog::new();
+        l.record_first(Addr(3), 7, || 0);
+        pool.put_write_log(l);
+        let mut s = IndexSet::new();
+        s.insert(4);
+        pool.put_index_set(s);
+        assert_eq!(pool.spares(), 0);
+        let (l, taken) = pool.take_write_log();
+        assert_eq!((taken, l.lookup(Addr(3))), (Taken::Fresh, None));
+    }
+
+    #[test]
     fn pool_is_bounded() {
         let pool = LogPool::new();
         for _ in 0..(2 * MAX_SPARES) {
             let mut l = WriteLog::new();
             l.record(Addr(1), 1, || 0);
+            l.clear();
             pool.put_write_log(l);
         }
         assert_eq!(pool.spares(), MAX_SPARES);

@@ -232,8 +232,20 @@ impl SerialAttempt {
         self.frees.push((addr, words));
     }
 
-    fn note_sizes(&self) {
+    /// Writes the logged old values back, newest first, keeping the log.
+    fn restore_memory(&self) {
+        for e in self.undo.iter().rev() {
+            self.system.heap.store(e.addr, e.val);
+        }
+    }
+
+    /// Clears the undo log, recording its size, and forgets the attempt's
+    /// allocations: the one place the log is measured and cleared.
+    fn reset(&mut self) {
         TxStats::record_max(&self.thread.stats.write_set_max, self.undo.len() as u64);
+        self.undo.clear();
+        self.mallocs.clear();
+        self.frees.clear();
     }
 
     fn release_if_holding(&mut self) {
@@ -246,16 +258,11 @@ impl SerialAttempt {
     /// Rolls the attempt back: undoes writes in reverse order, undoes
     /// allocations, releases the gate.  Safe to call more than once.
     pub fn rollback(&mut self) {
-        self.note_sizes();
-        for e in self.undo.iter().rev() {
-            self.system.heap.store(e.addr, e.val);
-        }
-        self.undo.clear();
+        self.restore_memory();
         for &(addr, words) in &self.mallocs {
             self.system.heap.dealloc_for(&self.thread, addr, words);
         }
-        self.mallocs.clear();
-        self.frees.clear();
+        self.reset();
         self.release_if_holding();
     }
 
@@ -263,14 +270,11 @@ impl SerialAttempt {
     /// Serial commits carry no metadata, so the outcome tells the wake path
     /// to scan conservatively.
     pub fn commit(&mut self) -> CommitOutcome {
-        self.note_sizes();
         let was_writer = !self.undo.is_empty();
-        self.undo.clear();
         for &(addr, words) in &self.frees {
             self.system.heap.dealloc_for(&self.thread, addr, words);
         }
-        self.mallocs.clear();
-        self.frees.clear();
+        self.reset();
         self.release_if_holding();
         CommitOutcome::serial(was_writer)
     }
@@ -291,12 +295,9 @@ impl SerialAttempt {
             }
             WaitSpec::Addrs(addrs) => {
                 // Undo writes first so the captured snapshot reflects the
-                // pre-transaction state.
-                self.note_sizes();
-                for e in self.undo.iter().rev() {
-                    self.system.heap.store(e.addr, e.val);
-                }
-                self.undo.clear();
+                // pre-transaction state (the rollback below restores the
+                // same words again; the gate holder runs alone).
+                self.restore_memory();
                 let pairs = addrs
                     .iter()
                     .map(|&a| (a, self.system.heap.load(a)))
@@ -314,8 +315,12 @@ impl SerialAttempt {
 
 impl Drop for SerialAttempt {
     fn drop(&mut self) {
-        // Defensive: never leak the gate if a body panics mid-attempt.
-        self.rollback();
+        // Defensive: never leak the gate if a body panics mid-attempt.  A
+        // finished attempt (committed or rolled back) no longer holds it
+        // and has nothing left to undo.
+        if self.holding {
+            self.rollback();
+        }
         self.thread
             .pool
             .put_write_log(std::mem::take(&mut self.undo));

@@ -5,6 +5,24 @@
 //! across threads so the benchmark output can report abort rates, wake-up
 //! counts and fallback frequencies alongside raw execution time (useful when
 //! explaining *why* a mechanism wins, as §2.4.1 does).
+//!
+//! # Who writes a counter
+//!
+//! Every [`TxStats`] counter, high-water mark and histogram bucket is
+//! written only by the thread whose [`crate::thread::ThreadCtx`] holds it;
+//! a committer waking sleepers counts the wake-ups in its *own* stats.
+//! Other threads only read, through [`TxStats::snapshot`].  So a write
+//! needs no read-modify-write instruction: [`TxStats::bump`],
+//! [`TxStats::add`], [`TxStats::record_max`] and
+//! [`LatencyHistogram::record`] are a relaxed load plus a relaxed store,
+//! never a `lock`-prefixed RMW.  A reader may see a value a few events
+//! stale, never a torn or lost one.  A site that has to count into another
+//! thread's stats must use an atomic RMW on the field itself.
+//!
+//! [`TxStats::reset`] (and `ThreadRegistry::reset_stats`) stores zeros from
+//! whichever thread calls it, so call it only while the owners are
+//! quiescent — between benchmark phases, as the harnesses do; a reset that
+//! races an owner's load-then-store can be overwritten by the owner.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,11 +93,13 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// A cheap fixed-bucket latency histogram: 32 log2 buckets of plain
 /// relaxed counters.
 ///
-/// Recording is one `leading_zeros` plus one relaxed `fetch_add` — cheap
-/// enough for the driver's per-transaction hot path.  The whole histogram is
-/// wrapped in [`CachePadded`] inside [`TxStats`], so one thread's recording
-/// never invalidates another thread's counter lines; buckets *within* a
-/// thread's histogram deliberately share lines (only the owner writes them).
+/// Only the owning thread records (see the module docs), so recording is
+/// one `leading_zeros` plus a relaxed load and store of the bucket, with no
+/// locked instruction — cheap enough for the driver's per-transaction hot
+/// path.  The whole histogram is wrapped in [`CachePadded`] inside
+/// [`TxStats`], so one thread's recording never invalidates another
+/// thread's counter lines; buckets *within* a thread's histogram
+/// deliberately share lines (only the owner writes them).
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -101,10 +121,10 @@ fn bucket_for(nanos: u64) -> usize {
 }
 
 impl LatencyHistogram {
-    /// Records one sample of `nanos` nanoseconds.
+    /// Records one sample of `nanos` nanoseconds.  Owner thread only.
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_for(nanos)].fetch_add(1, Ordering::Relaxed);
+        TxStats::bump(&self.buckets[bucket_for(nanos)]);
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -114,7 +134,7 @@ impl LatencyHistogram {
         }
     }
 
-    /// Zeroes every bucket.
+    /// Zeroes every bucket (owners quiescent, as for [`TxStats::reset`]).
     pub fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -175,6 +195,10 @@ macro_rules! stats_fields {
     ) => {
         /// Live (atomic) per-thread counters, plus high-water marks.
         ///
+        /// Owner-written, snapshot-read: only the thread whose context holds
+        /// a `TxStats` writes it (plain relaxed load + store, see the module
+        /// docs); any thread may [`snapshot`](TxStats::snapshot) it.
+        ///
         /// Counters sit on commit/abort hot paths, so each one is padded to
         /// its own cache line: a thread banging on `sw_commits` must never
         /// invalidate the line a harness thread is reading `sleeps` from,
@@ -208,7 +232,9 @@ macro_rules! stats_fields {
                 }
             }
 
-            /// Resets all counters to zero.
+            /// Resets all counters to zero.  Call only while the owning
+            /// thread is quiescent: its next load-then-store could
+            /// otherwise write back a pre-reset value.
             pub fn reset(&self) {
                 $(self.$cname.store(0, Ordering::Relaxed);)+
                 $(self.$mname.store(0, Ordering::Relaxed);)+
@@ -396,22 +422,29 @@ stats_fields! {
 }
 
 impl TxStats {
-    /// Increments a counter by one.
+    /// Increments a counter by one.  Owner thread only (module docs).
     #[inline]
     pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        TxStats::add(counter, 1);
     }
 
-    /// Adds `n` to a counter.
+    /// Adds `n` to a counter: a relaxed load and store, no locked RMW.
+    /// Owner thread only (module docs).
     #[inline]
     pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+        counter.store(
+            counter.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
     }
 
-    /// Raises a high-water mark to `value` if it is larger.
+    /// Raises a high-water mark to `value` if it is larger; stores nothing
+    /// otherwise.  Owner thread only (module docs).
     #[inline]
     pub fn record_max(mark: &AtomicU64, value: u64) {
-        mark.fetch_max(value, Ordering::Relaxed);
+        if value > mark.load(Ordering::Relaxed) {
+            mark.store(value, Ordering::Relaxed);
+        }
     }
 
     /// The latency histogram that records transactions of the given

@@ -111,10 +111,10 @@ pub trait WritePolicy: Sized + fmt::Debug {
     }
 
     /// Empties the logs for the next attempt, recording the write-set
-    /// high-water mark.
+    /// high-water mark: the one place either happens to the policy's logs.
     fn clear(&mut self, stats: &TxStats);
 
-    /// Hands the pooled logs back to `thread`'s pool.
+    /// Hands the (cleared) pooled logs back to `thread`'s pool.
     fn recycle(&mut self, thread: &ThreadCtx);
 }
 
@@ -473,6 +473,9 @@ impl<W: WritePolicy> StmTx<W> {
         }
     }
 
+    /// Clears every log of the attempt and records the read- and write-set
+    /// high-water marks, once per commit or rollback.  `Drop` then hands
+    /// the cleared containers back to the pool as they are.
     fn reset_logs(&mut self) {
         let at = &mut self.at;
         TxStats::record_max(&at.common.thread.stats.read_set_max, at.reads.len() as u64);
@@ -580,7 +583,9 @@ impl<W: WritePolicy> StmTx<W> {
 impl<W: WritePolicy> Drop for StmTx<W> {
     fn drop(&mut self) {
         // Recycle the attempt's access sets so the next attempt (or the
-        // thread's next transaction) reuses their capacity.
+        // thread's next transaction) reuses their capacity.  Commit and
+        // rollback cleared them already; the pool drops any that an
+        // unwinding body left full.
         let thread = &self.at.common.thread;
         thread.put_read_set(std::mem::take(&mut self.at.reads));
         self.writes.recycle(thread);

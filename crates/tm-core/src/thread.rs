@@ -40,11 +40,15 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Per-thread context shared between the thread itself and other threads
 /// (committers performing quiescence, hardware transactions dooming each
 /// other, writers waking sleepers).
+///
+/// One OS thread at a time runs transactions on a context: its epoch slot,
+/// its log pool and its statistics all assume a single owner.
 #[derive(Debug)]
 pub struct ThreadCtx {
     /// Dense thread identifier.
     pub id: ThreadId,
-    /// Event counters.
+    /// Event counters.  Only the thread this context belongs to writes
+    /// them (see [`crate::stats`]); other threads take snapshots.
     pub stats: TxStats,
     /// The shared epoch table; this thread owns slot [`ThreadCtx::id`],
     /// which carries its published start time and last commit epoch on a
@@ -148,10 +152,9 @@ impl ThreadCtx {
         set
     }
 
-    /// Returns a read set to the pool, recording the attempt's read-set
-    /// high-water mark.
+    /// Returns a cleared read set to the pool.  The attempt that used it
+    /// cleared it and recorded its high-water mark already.
     pub fn put_read_set(&self, set: ReadSet) {
-        TxStats::record_max(&self.stats.read_set_max, set.len() as u64);
         self.pool.put_read_set(set);
     }
 
@@ -162,10 +165,9 @@ impl ThreadCtx {
         log
     }
 
-    /// Returns a write log to the pool, recording the attempt's write-log
-    /// high-water mark.
+    /// Returns a cleared write log to the pool (see
+    /// [`put_read_set`](Self::put_read_set)).
     pub fn put_write_log(&self, log: WriteLog) {
-        TxStats::record_max(&self.stats.write_set_max, log.len() as u64);
         self.pool.put_write_log(log);
     }
 
@@ -176,7 +178,7 @@ impl ThreadCtx {
         set
     }
 
-    /// Returns an index set to the pool.
+    /// Returns a cleared index set to the pool.
     pub fn put_index_set(&self, set: IndexSet) {
         self.pool.put_index_set(set);
     }
@@ -384,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trip_counts_reuses_and_high_water_marks() {
+    fn pool_round_trip_counts_reuses() {
         use crate::addr::Addr;
         let r = ThreadRegistry::new();
         let t = r.register();
@@ -401,12 +403,15 @@ mod tests {
         }
         log.record(Addr(1), 1, || 0);
         log.record(Addr(2), 2, || 0);
+        // An attempt records its high-water marks where it clears its logs;
+        // handing the cleared logs back records nothing more.
+        reads.clear();
+        log.clear();
         t.put_read_set(reads);
         t.put_write_log(log);
 
         let snap = t.stats.snapshot();
-        assert_eq!(snap.read_set_max, 10);
-        assert_eq!(snap.write_set_max, 2);
+        assert_eq!((snap.read_set_max, snap.write_set_max), (0, 0));
 
         let reads = t.take_read_set();
         let log = t.take_write_log();

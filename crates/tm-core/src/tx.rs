@@ -132,9 +132,10 @@ impl TxCommon {
 
 impl Drop for TxCommon {
     fn drop(&mut self) {
-        // Recycle the value log's capacity for the next attempt.  Straight
-        // to the pool: the waitset logs *reads*, so it must not feed the
-        // `write_set_max` high-water mark the way real write logs do.
+        // Recycle the value log's capacity for the next attempt.  Nothing
+        // else clears it (a deschedule drains it, a commit leaves it full),
+        // and it logs *reads*, so no high-water mark is recorded for it.
+        self.waitset.clear();
         self.thread
             .pool
             .put_write_log(std::mem::take(&mut self.waitset));

@@ -1,11 +1,13 @@
 //! Property tests for the shared access-set layer (`tm_core::access`) and
-//! its integration into the three runtimes.
+//! its integration into the four runtimes, including the per-thread
+//! statistics the attempts record as they use and clear their logs.
 //!
 //! Deterministic xorshift-driven cases (same style as `tests/properties.rs`):
 //! every run explores the same inputs, so failures reproduce trivially.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Duration;
 
 use tm_core::access::{IndexSet, ReadSet, WriteLog};
 use tm_core::backoff::XorShift64;
@@ -248,5 +250,141 @@ fn retry_value_log_keeps_first_observed_values() {
         let th = system.register_thread();
         rt.atomically(&th, |tx| flag.set(tx, 9));
         assert_eq!(waiter.join().unwrap(), 50, "{kind}");
+    }
+}
+
+/// Each attempt records its set sizes once, where it clears its logs, and
+/// the high-water marks come out exactly: after a commit, after an
+/// explicit restart, and after an `Await` deschedule whose rollback first
+/// restores memory for the capture.
+#[test]
+fn set_high_water_marks_are_exact_on_all_runtimes() {
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let th = system.register_thread();
+        // Five words of one cache line: five read-set entries on the STMs,
+        // one speculative read line on a hardware attempt.
+        let words: Vec<Addr> = (0..5).map(|i| Addr(256 + i)).collect();
+        let expect_reads = match kind {
+            RuntimeKind::EagerStm | RuntimeKind::LazyStm => 5,
+            RuntimeKind::Htm | RuntimeKind::Hybrid => 1,
+        };
+
+        rt.atomically(&th, |tx| {
+            for &a in &words {
+                tx.read(a)?;
+            }
+            for &a in &words[..3] {
+                tx.write(a, 1)?;
+            }
+            Ok(())
+        });
+        let snap = th.stats.snapshot();
+        assert_eq!(
+            (snap.read_set_max, snap.write_set_max),
+            (expect_reads, 3),
+            "{kind}: after a commit"
+        );
+
+        // A larger write set that only ever rolls back still counts.
+        let mut restarts = 1;
+        rt.atomically(&th, |tx| {
+            if restarts > 0 {
+                for &a in &words[..4] {
+                    tx.write(a, 2)?;
+                }
+                restarts -= 1;
+                return condsync::restart(tx);
+            }
+            Ok(())
+        });
+        assert_eq!(
+            th.stats.snapshot().write_set_max,
+            4,
+            "{kind}: after a restart"
+        );
+
+        // An `Await` capture restores the writes before the rollback; the
+        // attempt that waited writes five words, the one after the
+        // timeout writes none.
+        let flag = Addr(512);
+        rt.atomically(&th, |tx| {
+            if condsync::timed_out(tx) {
+                return Ok(());
+            }
+            for &a in &words {
+                tx.write(a, 3)?;
+            }
+            condsync::await_one_for(tx, flag, Duration::from_millis(1))
+        });
+        assert_eq!(
+            th.stats.snapshot().write_set_max,
+            5,
+            "{kind}: after an Await deschedule"
+        );
+        let committed: Vec<u64> = words.iter().map(|&a| system.heap.load(a)).collect();
+        assert_eq!(
+            committed,
+            [1, 1, 1, 0, 0],
+            "{kind}: only the first commit's writes"
+        );
+    }
+}
+
+/// Statistics are owner-written with plain stores, so counts stay exact
+/// only if every write site counts into its own thread's stats.  Two
+/// threads, each on its own context, run update and read-only transactions
+/// at once; the aggregate must add up exactly, and a reset while both are
+/// quiescent must zero everything.
+#[test]
+fn concurrent_per_thread_stats_add_up_exactly_on_every_runtime() {
+    const N: u64 = 2_000;
+    for kind in RuntimeKind::ALL {
+        let rt = Arc::new(kind.build(TmConfig::small()));
+        let system = Arc::clone(rt.system());
+        let shared = Addr(64);
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let rt = Arc::clone(&rt);
+                let system = Arc::clone(&system);
+                std::thread::spawn(move || {
+                    let th = system.register_thread();
+                    let own = Addr(1024 + 64 * w);
+                    for _ in 0..N {
+                        rt.atomically(&th, |tx| {
+                            let v = tx.read(own)?;
+                            tx.write(own, v + 1)
+                        });
+                        rt.atomically_read(&th, |tx| Ok(tx.read(shared)? + tx.read(own)?));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        for w in 0..2 {
+            assert_eq!(system.heap.load(Addr(1024 + 64 * w)), N, "{kind}");
+        }
+        let agg = system.threads.aggregate_stats();
+        assert_eq!(agg.sw_commits + agg.hw_commits, 4 * N, "{kind}: commits");
+        assert_eq!(
+            agg.update_tx_latency.count(),
+            2 * N,
+            "{kind}: update latencies"
+        );
+        assert_eq!(
+            agg.ro_tx_latency.count(),
+            2 * N,
+            "{kind}: read-only latencies"
+        );
+
+        system.threads.reset_stats();
+        assert_eq!(
+            system.threads.aggregate_stats(),
+            tm_core::StatsSnapshot::default(),
+            "{kind}: reset while quiescent"
+        );
     }
 }

@@ -58,6 +58,26 @@ fn retry_orig_sleeps_on_the_system_registry<W: WritePolicy + 'static>() {
     assert!(system.orig.is_empty());
 }
 
+/// A declared read-only transaction on the snapshot path keeps no logs, so
+/// it takes nothing from the log pool, and its free commit is counted once.
+fn snapshot_transactions_skip_the_log_pool<W: WritePolicy>() {
+    let (system, rt) = runtime::<W>();
+    let th = system.register_thread();
+    let v = TmVar::<u64>::alloc(&system, 5);
+    // Warm the pool first, so a take would count as a reuse.
+    rt.atomically(&th, |tx| v.set(tx, 6));
+    rt.atomically(&th, |tx| v.set(tx, 7));
+    let before = th.stats.snapshot();
+    let spares = th.pool.spares();
+    assert!(spares > 0, "an update transaction leaves its logs pooled");
+
+    assert_eq!(rt.atomically_read(&th, |tx| v.get(tx)), 7);
+    let after = th.stats.snapshot();
+    assert_eq!(after.log_pool_reuses, before.log_pool_reuses);
+    assert_eq!(after.ro_fast_commits, before.ro_fast_commits + 1);
+    assert_eq!(th.pool.spares(), spares);
+}
+
 /// Instantiates every case above as a `#[test]` in module `$module` for
 /// write policy `$policy`.
 macro_rules! engine_tests {
@@ -66,6 +86,11 @@ macro_rules! engine_tests {
             #[test]
             fn simple_transaction_commits() {
                 super::simple_transaction_commits::<$policy>();
+            }
+
+            #[test]
+            fn snapshot_transactions_skip_the_log_pool() {
+                super::snapshot_transactions_skip_the_log_pool::<$policy>();
             }
 
             #[test]
